@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 from .errors import InvalidSpec
 from .stats import mean_std, paired_t_test
-from .train import DataConfig, ExperimentConfig, run_single, tokenize
+from .train import DataConfig, ExperimentConfig, geometric_setup, run_single, tokenize
 
 AXES = ("embedding", "bn_embed", "depth", "heads", "attention", "bands")
 
@@ -41,16 +42,12 @@ def _variants(exp: ExperimentConfig, axis: str):
 
 
 def replace_data(exp: ExperimentConfig, **kw) -> ExperimentConfig:
-    data = DataConfig.from_dict({**exp.data.to_dict(), **kw})
-    return ExperimentConfig(data=data, model=dict(exp.model), lr=exp.lr,
-                            batch_size=exp.batch_size, epochs=exp.epochs, seeds=exp.seeds)
+    return replace(exp, data=DataConfig.from_dict({**exp.data.to_dict(), **kw}),
+                   model=dict(exp.model))
 
 
 def with_model(exp: ExperimentConfig, **kw) -> ExperimentConfig:
-    model = dict(exp.model)
-    model.update(kw)
-    return ExperimentConfig(data=exp.data, model=model, lr=exp.lr,
-                            batch_size=exp.batch_size, epochs=exp.epochs, seeds=exp.seeds)
+    return replace(exp, model={**exp.model, **kw})
 
 
 def run_ablation(exp: ExperimentConfig, axis: str, out_root: str | None = None) -> dict:
@@ -62,14 +59,7 @@ def run_ablation(exp: ExperimentConfig, axis: str, out_root: str | None = None) 
         if data_key not in token_cache:
             token_cache[data_key] = tokenize(variant.data)
         tds = token_cache[data_key]
-        attn_bias = None
-        model_over = dict(variant.model)
-        if model_over.get("attention") == "geometric":
-            from .network import geometric_bias
-
-            model_over.setdefault("token_kind", variant.data.embedding)
-            variant = with_model(variant, **model_over)
-            attn_bias = geometric_bias(tds.tokens, model_over["token_kind"])
+        _, attn_bias = geometric_setup(variant.model, tds)
         finals = []
         per_seed = {}
         for seed in variant.seeds:

@@ -14,7 +14,18 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvalidSpec
-from .spdcore import LOG, SQRT, dk_matrix, eig_sym, spectral_apply, spectral_backward, sym
+from .spdcore import (
+    IDENTITY,
+    LOG,
+    SQRT,
+    dk_matrix,
+    eig_sym,
+    random_orthogonal,
+    spectral_apply,
+    spectral_backward,
+    spectral_reconstruct,
+    sym,
+)
 
 PROFILES = ("separated", "clustered")
 
@@ -42,10 +53,7 @@ def _profile_spectrum(rng, d, profile):
 
 
 def _random_with_spectrum(rng, lam):
-    d = lam.size
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    Q = Q * np.sign(np.diag(R))
-    return sym((Q * lam) @ Q.T)
+    return spectral_reconstruct(random_orthogonal(rng, lam.size), lam, IDENTITY)
 
 
 def run_bench(dims, trials: int = 20, seed: int = 0) -> dict:

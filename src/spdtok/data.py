@@ -27,9 +27,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import geometry, spdcore
-from .embedding import EmbeddingKind, embed_batch
 from .errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples
-from .spdcore import IDENTITY, SQRT, spectral_apply_batch, sym
+from .spdcore import IDENTITY, SQRT, random_orthogonal, spectral_apply_batch, spectral_reconstruct, sym
 
 DEFAULT_RIDGE = 1e-6
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
@@ -86,16 +85,6 @@ def bandpass(X: np.ndarray, band: BandSpec) -> np.ndarray:
     spectrum = np.fft.rfft(X, axis=-1)
     spectrum *= mask
     return np.fft.irfft(spectrum, n=n, axis=-1)
-
-
-def multiband_tokens(X: np.ndarray, bands, kind: EmbeddingKind,
-                     ridge: float = DEFAULT_RIDGE,
-                     clip: float = spdcore.CLIP_FLOOR) -> np.ndarray:
-    """(T, D_token) token sequence, one token per band."""
-    if not bands:
-        raise InvalidSpec("band list must be nonempty")
-    covs = np.stack([estimate_covariance(bandpass(X, b), ridge) for b in bands])
-    return embed_batch(covs, kind, clip)
 
 
 # -- segment batches --------------------------------------------------------------
@@ -172,20 +161,15 @@ class SpdDataset:
     spec: SynthSpec
 
 
-def _random_orthogonal(rng, d):
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    return Q * np.sign(np.diag(R))
-
-
 def synth_dataset(spec: SynthSpec) -> SpdDataset:
     """Seed-deterministic clustered SPD dataset; see the module docstring."""
     rng = np.random.default_rng(spec.seed)
     d, k = spec.dim, spec.n_classes
 
-    shared_q = _random_orthogonal(rng, d) if spec.shared_basis else None
+    shared_q = random_orthogonal(rng, d) if spec.shared_basis else None
     sqrt_anchors = []
     for c in range(k):
-        Q = shared_q if shared_q is not None else _random_orthogonal(rng, d)
+        Q = shared_q if shared_q is not None else random_orthogonal(rng, d)
         if spec.spectra:
             # explicit spectra keep their slot order: with a shared basis the
             # pairing of eigenvalue to eigenvector carries the class signal
@@ -196,7 +180,7 @@ def synth_dataset(spec: SynthSpec) -> SpdDataset:
         else:
             lam = np.sort(np.exp(rng.uniform(np.log(spec.eig_lo), np.log(spec.eig_hi), d)))[::-1]
             lam = lam * spec.scale
-        sqrt_anchors.append(sym((Q * np.sqrt(lam)) @ Q.T))
+        sqrt_anchors.append(spectral_reconstruct(Q, lam, SQRT, clip=0.0))
     sqrt_anchors = np.stack(sqrt_anchors)
 
     if spec.frobenius_equalize:
@@ -272,9 +256,7 @@ class BandMixtureSpec:
 
 
 def _spatial_pattern(rng, d, kappa=6.0):
-    Q = _random_orthogonal(rng, d)
-    lam = np.geomspace(1.0, kappa, d)
-    return sym((Q * lam) @ Q.T)
+    return spectral_reconstruct(random_orthogonal(rng, d), np.geomspace(1.0, kappa, d), IDENTITY)
 
 
 def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:

@@ -15,6 +15,12 @@ packing reads each off-diagonal element once, so its adjoint distributes each
 off-diagonal token gradient g across the two mirrored slots as g/2 + g/2 (no
 duplicate scaling). This is the unique choice that passes finite differences;
 diagonal slots are unaffected.
+
+Kernels and wrappers: only this module knows the packing order, kept in
+`vech_batch` (and its inverse `unvech`). `embed_batch` is the tokeniser kernel
+(one stacked eigendecomposition, then `spdcore.spectral_reconstruct`) and
+`embed` wraps it on a one-matrix stack. `reconstruct_spd` is the token-to-SPD
+map over a (n, D) stack and wraps a single token the same way.
 """
 
 from __future__ import annotations
@@ -42,6 +48,15 @@ def token_length(d: int) -> int:
     return d * (d + 1) // 2
 
 
+def vech_batch(Ms: np.ndarray) -> np.ndarray:
+    """Row-major upper triangles of a (..., d, d) stack, shape (..., d(d+1)/2).
+
+    The packing behind vech and every tokeniser, without vech's symmetry check.
+    """
+    i, j = np.triu_indices(Ms.shape[-1])
+    return Ms[..., i, j]
+
+
 def vech(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Row-major upper-triangle packing of a symmetric matrix."""
     M = np.asarray(M, dtype=np.float64)
@@ -50,58 +65,66 @@ def vech(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     asym = np.max(np.abs(M - M.T)) if M.size else 0.0
     if asym > rtol * max(np.linalg.norm(M), np.finfo(np.float64).tiny):
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
-    i, j = np.triu_indices(M.shape[0])
-    return M[i, j].copy()
+    return vech_batch(M)
 
 
 def unvech(v: np.ndarray) -> np.ndarray:
-    """Inverse of vech: rebuild the full symmetric matrix."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    d = int(round((np.sqrt(8.0 * v.size + 1.0) - 1.0) / 2.0))
-    if token_length(d) != v.size:
-        raise DimMismatch(f"length {v.size} is not a triangular number")
-    M = np.zeros((d, d))
+    """Inverse of vech over leading axes: (..., D) tokens to (..., d, d) matrices."""
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    d = int(round((np.sqrt(8.0 * v.shape[-1] + 1.0) - 1.0) / 2.0))
+    if token_length(d) != v.shape[-1]:
+        raise DimMismatch(f"length {v.shape[-1]} is not a triangular number")
+    M = np.zeros(v.shape[:-1] + (d, d))
     i, j = np.triu_indices(d)
-    M[i, j] = v
-    M[j, i] = v
+    M[..., i, j] = v
+    M[..., j, i] = v
     return M
 
 
 def embed(C: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR) -> np.ndarray:
     """Token vector of length d(d+1)/2 for one SPD matrix."""
-    kind = EmbeddingKind(kind)
-    C = sym(C)
-    if kind is EmbeddingKind.EUCLIDEAN:
-        return vech(C)
-    fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
-    return vech(spdcore.spectral_apply(C, fn, clip))
+    return embed_batch(np.asarray(C, dtype=np.float64)[None], kind, clip)[0]
 
 
-def embed_batch(Cs: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR) -> np.ndarray:
-    """Tokens for a (batch, d, d) stack; returns (batch, d(d+1)/2)."""
-    kind = EmbeddingKind(kind)
-    Cs = sym(np.asarray(Cs, dtype=np.float64))
-    if kind is not EmbeddingKind.EUCLIDEAN:
-        fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
-        Cs = spdcore.spectral_apply_batch(Cs, fn, clip)
-    i, j = np.triu_indices(Cs.shape[-1])
-    return Cs[:, i, j].copy()
+def embed_batch(Cs: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR, *,
+                return_values: bool = False):
+    """Tokens for a (batch, d, d) stack; returns (batch, d(d+1)/2).
 
-
-def reconstruct_spd(token: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR) -> np.ndarray:
-    """Rebuild the SPD matrix a token came from (partial inverse of embed).
-
-    sqrt tokens are unpacked and squared; log tokens are unpacked and
-    exponentiated; flat tokens are unpacked directly (clipped to the SPD cone
-    in every case).
+    With return_values, returns (tokens, eigenvalues) so callers can inspect
+    the spectra without a second decomposition; the flat embedding decomposes
+    nothing and gives None.
     """
     kind = EmbeddingKind(kind)
-    M = unvech(token)
+    Cs = np.asarray(Cs, dtype=np.float64)
+    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2]:
+        raise DimMismatch(f"expected a (batch, d, d) stack, got shape {Cs.shape}")
+    Cs = sym(Cs)
+    values = None
+    if kind is not EmbeddingKind.EUCLIDEAN:
+        fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
+        V, values = spdcore.eig_sym_batch(Cs)
+        Cs = spdcore.spectral_reconstruct(V, values, fn, clip)
+    tokens = vech_batch(Cs)
+    return (tokens, values) if return_values else tokens
+
+
+def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR) -> np.ndarray:
+    """Rebuild the SPD matrices tokens came from (partial inverse of embed).
+
+    Takes a (n, D) stack or one (D,) token. sqrt tokens are unpacked and
+    squared; log tokens are unpacked and exponentiated; flat tokens are
+    unpacked directly (clipped to the SPD cone in every case).
+    """
+    kind = EmbeddingKind(kind)
+    tokens = np.asarray(tokens, dtype=np.float64)
+    M = unvech(np.atleast_2d(tokens))
     if kind is EmbeddingKind.BWSPD:
-        return sym(M @ M)
-    if kind is EmbeddingKind.LOG_EUCLIDEAN:
-        return spdcore.spectral_apply(M, EXP, clip=-np.inf)
-    return spdcore.spectral_apply(M, spdcore.IDENTITY, clip)
+        out = sym(M @ M)
+    elif kind is EmbeddingKind.LOG_EUCLIDEAN:
+        out = spdcore.spectral_apply_batch(M, EXP, clip=-np.inf)
+    else:
+        out = spdcore.spectral_apply_batch(M, spdcore.IDENTITY, clip)
+    return out if tokens.ndim > 1 else out[0]
 
 
 def vech_adjoint(g: np.ndarray) -> np.ndarray:

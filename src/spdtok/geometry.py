@@ -9,6 +9,13 @@ marginally negative by roundoff and is clamped at zero (a warning is logged
 when the excursion exceeds 1e-9 relative to tr A + tr B). The tangent-space
 distance is ||log A - log B||_F and the flat distance is ||A - B||_F.
 
+Kernels and wrappers: `_bw_from_sqrt` is the one place the bracket is
+computed, from a precomputed sqrt(A) stack. `bw_distance_pairs` (aligned
+stacks), `bw_distances_to` (one reference, square-rooted once) and
+`bw_distance` (one pair) wrap it, so the negative-bracket warning covers
+every transport-distance path. `distortion_checks` is the batched
+distortion-bound kernel and `distortion_check` its one-pair wrapper.
+
 The barycenter solves the fixed-point equation
 
     mu = (1/n) sum_i (mu^{1/2} C_i mu^{1/2})^{1/2}
@@ -20,15 +27,15 @@ clustered batches this package produces and is residual-checked on exit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from . import spdcore
-from .embedding import embed
+from .embedding import vech_batch
 from .errors import DimMismatch, InvalidSpec, NoConvergence
-from .spdcore import SQRT, eig_sym, spectral_apply, spectral_apply_batch, sym
+from .spdcore import SQRT, spectral_apply, spectral_apply_batch, sym
 
 log = logging.getLogger(__name__)
 
@@ -49,28 +56,30 @@ def _check_pair(A, B):
     return A, B
 
 
+def _bw_from_sqrt(As: np.ndarray, sqAs: np.ndarray, Bs: np.ndarray) -> np.ndarray:
+    """d_bw(A_i, B_i) given sqrt(A_i); A and sqrt(A) may be one matrix or a stack
+    aligned with Bs. Negative brackets are clamped, with a warning past
+    NEGATIVE_BRACKET_REL_TOL * (tr A + tr B)."""
+    _, cross = spdcore.eig_sym_batch(sqAs @ Bs @ sqAs)
+    scale = np.trace(As, axis1=-2, axis2=-1) + np.trace(Bs, axis1=-2, axis2=-1)
+    bracket = scale - 2.0 * np.sum(np.sqrt(np.maximum(cross, 0.0)), axis=-1)
+    bad = -bracket > NEGATIVE_BRACKET_REL_TOL * scale
+    if np.any(bad):
+        worst = int(np.argmin(np.where(bad, bracket, np.inf)))
+        log.warning("bw bracket %.3e below zero (scale %.3e) in %d of %d pairs; clamping",
+                    bracket[worst], scale[worst], int(np.count_nonzero(bad)), bracket.size)
+    return np.sqrt(np.maximum(bracket, 0.0))
+
+
 def bw_distance(A: np.ndarray, B: np.ndarray) -> float:
     A, B = _check_pair(A, B)
-    sq = spectral_apply(A, SQRT)
-    cross = eig_sym(sq @ B @ sq).values
-    bracket = float(np.trace(A) + np.trace(B) - 2.0 * np.sum(np.sqrt(np.maximum(cross, 0.0))))
-    scale = float(np.trace(A) + np.trace(B))
-    if bracket < 0.0:
-        if -bracket > NEGATIVE_BRACKET_REL_TOL * scale:
-            log.warning("bw_distance bracket %.3e below zero (scale %.3e); clamping", bracket, scale)
-        bracket = 0.0
-    return float(np.sqrt(bracket))
+    return float(bw_distance_pairs(A[None], B[None])[0])
 
 
 def bw_distances_to(Cs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """d_bw(C_i, ref) for a stack of matrices against one reference."""
-    Cs = np.asarray(Cs, dtype=np.float64)
-    sq = spectral_apply(ref, SQRT)
-    inner = sq[None, :, :] @ Cs @ sq[None, :, :]
-    _, vals = spdcore.eig_sym_batch(sym(inner))
-    cross = np.sum(np.sqrt(np.maximum(vals, 0.0)), axis=1)
-    bracket = np.trace(Cs, axis1=1, axis2=2) + np.trace(ref) - 2.0 * cross
-    return np.sqrt(np.maximum(bracket, 0.0))
+    ref = np.asarray(ref, dtype=np.float64)
+    return _bw_from_sqrt(ref, spectral_apply(ref, SQRT), np.asarray(Cs, dtype=np.float64))
 
 
 def bw_distance_pairs(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
@@ -79,12 +88,7 @@ def bw_distance_pairs(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
     Bs = np.asarray(Bs, dtype=np.float64)
     if As.shape != Bs.shape or As.ndim != 3:
         raise DimMismatch(f"incompatible stacks {As.shape} and {Bs.shape}")
-    sq = spectral_apply_batch(As, SQRT)
-    inner = sq @ Bs @ sq
-    _, vals = spdcore.eig_sym_batch(sym(inner))
-    cross = np.sum(np.sqrt(np.maximum(vals, 0.0)), axis=1)
-    bracket = (np.trace(As, axis1=1, axis2=2) + np.trace(Bs, axis1=1, axis2=2) - 2.0 * cross)
-    return np.sqrt(np.maximum(bracket, 0.0))
+    return _bw_from_sqrt(As, spectral_apply_batch(As, SQRT), Bs)
 
 
 def logeuclidean_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -106,6 +110,12 @@ def distance(A: np.ndarray, B: np.ndarray, kind: DistanceKind) -> float:
     return frobenius_distance(A, B)
 
 
+def barycenter_map(mu: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """One fixed-point step mu -> (1/n) sum_i (sqrt(mu) C_i sqrt(mu))^{1/2}."""
+    sq = spectral_apply(mu, SQRT)
+    return sym(np.mean(spectral_apply_batch(sq @ stack @ sq, SQRT), axis=0))
+
+
 def bw_barycenter(Cs, max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
     """Fixed point of mu -> (1/n) sum_i (sqrt(mu) C_i sqrt(mu))^{1/2}.
 
@@ -119,9 +129,7 @@ def bw_barycenter(Cs, max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
     mu = sym(np.mean(stack, axis=0))
     residual = np.inf
     for _ in range(max_iter):
-        sq = spectral_apply(mu, SQRT)
-        inner = sq[None, :, :] @ stack @ sq[None, :, :]
-        mapped = sym(np.mean(spectral_apply_batch(sym(inner), SQRT), axis=0))
+        mapped = barycenter_map(mu, stack)
         residual = float(np.linalg.norm(mu - mapped))
         if residual <= tol * np.linalg.norm(mu):
             return mu
@@ -163,7 +171,8 @@ def dispersion_report(Cs, max_iter: int = 200, tol: float = 1e-10) -> Dispersion
 
 @dataclass(frozen=True)
 class DistortionCheck:
-    """Outcome of the token-space vs manifold distance comparison for one pair."""
+    """Token-space vs manifold distance comparison: floats and bools for one
+    pair (distortion_check), aligned arrays for a stack (distortion_checks)."""
 
     token_distance: float
     bw: float
@@ -178,30 +187,34 @@ class DistortionCheck:
 
     @property
     def all_ok(self) -> bool:
-        return (self.lower_ok and self.upper_ok and self.sandwich_lower_ok
-                and self.procrustes_ok and self.powers_stormer_ok and self.lipschitz_ok)
+        return (self.lower_ok & self.upper_ok & self.sandwich_lower_ok
+                & self.procrustes_ok & self.powers_stormer_ok & self.lipschitz_ok)
 
 
-def distortion_check(A: np.ndarray, B: np.ndarray, kappa_bound: float,
-                     slack: float = 1e-9) -> DistortionCheck:
-    """Check every distance-preservation bound for one pair of SPD matrices.
+def distortion_checks(As: np.ndarray, Bs: np.ndarray, kappa_bound=None,
+                      slack: float = 1e-9) -> DistortionCheck:
+    """Check every distance-preservation bound for aligned (n, d, d) stacks.
 
     kappa_bound is the caller's promise on lambda_max/lambda_min over both
-    spectra and enters only the sqrt(2 (kappa+1)) lower-bound constant; the
-    derivative-based bound uses the actual smallest eigenvalue.
+    spectra of a pair (a scalar or one value per pair) and enters only the
+    sqrt(2 (kappa+1)) lower-bound constant; None uses each pair's measured
+    ratio. The derivative-based bound uses the actual smallest eigenvalue.
     """
-    A, B = _check_pair(A, B)
-    eig_a = eig_sym(A)
-    eig_b = eig_sym(B)
-    tok = float(np.linalg.norm(embed(A, "bwspd") - embed(B, "bwspd")))
-    dbw = bw_distance(A, B)
-    sq_diff = float(np.linalg.norm(
-        spdcore.apply_from_eig(eig_a, SQRT) - spdcore.apply_from_eig(eig_b, SQRT)))
-    diff_vals = eig_sym(A - B).values
-    trace_norm = float(np.sum(np.abs(diff_vals)))
-    fro_diff = float(np.linalg.norm(A - B))
-    lam_min = float(min(np.min(eig_a.values), np.min(eig_b.values)))
-    lam_min = max(lam_min, spdcore.CLIP_FLOOR)
+    Va, la = spdcore.eig_sym_batch(As)
+    Vb, lb = spdcore.eig_sym_batch(Bs)
+    sqA = spdcore.spectral_reconstruct(Va, la, SQRT)
+    sqB = spdcore.spectral_reconstruct(Vb, lb, SQRT)
+    n = len(la)
+    tok = np.linalg.norm(vech_batch(sqA) - vech_batch(sqB), axis=1)
+    dbw = _bw_from_sqrt(As, sqA, Bs)
+    sq_diff = np.linalg.norm((sqA - sqB).reshape(n, -1), axis=1)
+    _, diff_vals = spdcore.eig_sym_batch(As - Bs)
+    trace_norm = np.sum(np.abs(diff_vals), axis=1)
+    fro_diff = np.linalg.norm((As - Bs).reshape(n, -1), axis=1)
+    lam_min = np.minimum(la.min(axis=1), lb.min(axis=1))
+    if kappa_bound is None:
+        kappa_bound = np.maximum(la.max(axis=1), lb.max(axis=1)) / lam_min
+    lam_min = np.maximum(lam_min, spdcore.CLIP_FLOOR)
     return DistortionCheck(
         token_distance=tok,
         bw=dbw,
@@ -212,5 +225,13 @@ def distortion_check(A: np.ndarray, B: np.ndarray, kappa_bound: float,
         procrustes_ok=dbw <= sq_diff + slack,
         powers_stormer_ok=sq_diff ** 2 <= trace_norm + slack,
         lipschitz_ok=sq_diff <= fro_diff / (2.0 * np.sqrt(lam_min)) + slack,
-        ratio=tok / dbw if dbw > slack else 1.0,
+        ratio=np.divide(tok, dbw, out=np.ones_like(tok), where=dbw > slack),
     )
+
+
+def distortion_check(A: np.ndarray, B: np.ndarray, kappa_bound: float,
+                     slack: float = 1e-9) -> DistortionCheck:
+    """distortion_checks for one pair of SPD matrices."""
+    A, B = _check_pair(A, B)
+    batch = distortion_checks(A[None], B[None], kappa_bound, slack)
+    return DistortionCheck(*(getattr(batch, f.name)[0].item() for f in fields(batch)))

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .embedding import EmbeddingKind, unvech
+from .embedding import EmbeddingKind, reconstruct_spd
 from .errors import DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch
-from . import geometry, spdcore
+from . import geometry
 
 ATTENTION_MODES = ("standard", "geometric")
 
@@ -244,22 +244,10 @@ class SpdTokenTransformer:
 def geometric_bias(tokens: np.ndarray, kind) -> np.ndarray:
     """(batch, T, T) matrix of transport distances between the SPD matrices
     reconstructed from each sample's tokens; zero on the diagonal."""
-    kind = EmbeddingKind(kind)
     tokens = np.asarray(tokens, dtype=np.float64)
     batch, T, D = tokens.shape
-    d = unvech(tokens[0, 0]).shape[0]
-    i, j = np.triu_indices(d)
-    S = np.zeros((batch * T, d, d))
-    flat = tokens.reshape(batch * T, D)
-    S[:, i, j] = flat
-    S[:, j, i] = flat
-    if kind is EmbeddingKind.BWSPD:
-        Cs = spdcore.sym(S @ S)
-    elif kind is EmbeddingKind.LOG_EUCLIDEAN:
-        Cs = spdcore.spectral_apply_batch(S, spdcore.EXP, clip=-np.inf)
-    else:
-        Cs = spdcore.spectral_apply_batch(S, spdcore.IDENTITY, spdcore.CLIP_FLOOR)
-    Cs = Cs.reshape(batch, T, d, d)
+    Cs = reconstruct_spd(tokens.reshape(batch * T, D), kind)
+    Cs = Cs.reshape(batch, T, *Cs.shape[-2:])
     bias = np.zeros((batch, T, T))
     for a in range(T):
         for b in range(a + 1, T):

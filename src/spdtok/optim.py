@@ -14,8 +14,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.state = {k: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
+                      for k, p in params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -23,23 +23,19 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for k, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            m_hat = self.m[k] / (1.0 - b1 ** self.t)
-            v_hat = self.v[k] / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            state = self.state[k]
+            state["t"] = self.t - 1  # adam_step advances it to this step's count
+            p.data = adam_step(p.data, p.grad, state, self.lr, self.beta1, self.beta2, self.eps)
 
 
 def adam_step(theta, grad, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """One functional Adam update on plain arrays.
 
     state is a dict {m, v, t} mutated in place; returns the updated theta.
-    Kept separate from the class so tests can drive it against a scalar
+    Adam.step applies it to each tensor; tests drive it against a scalar
     reference implementation.
     """
     state["t"] += 1

@@ -19,6 +19,13 @@ round are disjoint, so their rotations commute and can be applied with
 vectorised row/column updates, which also makes a whole stack of matrices
 decomposable in one call. All routines are pure and deterministic: the same
 input bytes produce the same output bytes on one platform.
+
+Kernels and wrappers: `eig_sym_batch` is the one eigensolver entry point
+and `eig_sym` wraps it on a one-matrix stack. `spectral_reconstruct` is the
+one map from an eigendecomposition back to a matrix; `apply_from_eig`,
+`spectral_apply` and `spectral_apply_batch` wrap it. `near_degenerate` is the
+one test for the near-degeneracy branch, used by `dk_matrix` and by the
+tokeniser's branch diagnostics. Both work over any leading stack axes.
 """
 
 from __future__ import annotations
@@ -173,10 +180,7 @@ def eig_sym(C: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise NonFinite("matrix contains NaN or Inf")
-    A = sym(C)[None, :, :].copy()
-    V, vals = _jacobi_stack(A, tol, max_sweeps)
+    V, vals = eig_sym_batch(C[None], tol, max_sweeps)
     return EigenPair(vectors=V[0], values=vals[0])
 
 
@@ -196,11 +200,22 @@ def eig_sym_batch(Cs: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JAC
     return _jacobi_stack(A, tol, max_sweeps)
 
 
+def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-random d x d orthogonal matrix from one standard-normal draw."""
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q * np.sign(np.diag(R))
+
+
+def spectral_reconstruct(V: np.ndarray, values: np.ndarray, fn: SpectralFn,
+                         clip: float = CLIP_FLOOR) -> np.ndarray:
+    """sym((V diag(f(max(lambda, clip)))) V^T) over any leading stack axes."""
+    lam = fn.f(np.maximum(values, clip))
+    return sym((V * lam[..., None, :]) @ np.swapaxes(V, -1, -2))
+
+
 def apply_from_eig(eig: EigenPair, fn: SpectralFn, clip: float = CLIP_FLOOR) -> np.ndarray:
     """f(C) reconstructed from a precomputed eigendecomposition."""
-    lam = np.maximum(eig.values, clip)
-    out = (eig.vectors * fn.f(lam)[None, :]) @ eig.vectors.T
-    return sym(out)
+    return spectral_reconstruct(eig.vectors, eig.values, fn, clip)
 
 
 def spectral_apply(C: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOOR) -> np.ndarray:
@@ -211,9 +226,16 @@ def spectral_apply(C: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOOR) -> n
 def spectral_apply_batch(Cs: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOOR) -> np.ndarray:
     """Batched spectral_apply over a (batch, d, d) stack."""
     V, vals = eig_sym_batch(Cs)
-    lam = np.maximum(vals, clip)
-    out = (V * fn.f(lam)[:, None, :]) @ np.swapaxes(V, 1, 2)
-    return sym(out)
+    return spectral_reconstruct(V, vals, fn, clip)
+
+
+def near_degenerate(values: np.ndarray, tol: float = DEGENERACY_REL_TOL) -> np.ndarray:
+    """(..., d, d) mask of the pairs i < j with |l_i - l_j| < tol * max(l_i, l_j)
+    for (..., d) eigenvalues; False on and below the diagonal, so it counts pairs."""
+    lam = np.asarray(values, dtype=np.float64)
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
+    return np.triu(np.abs(li - lj) < tol * np.maximum(li, lj), k=1)
 
 
 @dataclass(frozen=True)
@@ -255,13 +277,7 @@ def dk_matrix(values: np.ndarray, fn: SpectralFn,
     1/l_i - (l_j - l_i)/(2 l_i^2) (anchored at the smaller index) takes over.
     identity is the all-ones matrix. The result is exactly symmetric.
     """
-    lam = np.asarray(values, dtype=np.float64).ravel()
-    if lam.size == 0:
-        raise DomainError("empty eigenvalue list")
-    if not np.all(np.isfinite(lam)):
-        raise NonFinite("eigenvalues contain NaN or Inf")
-    if np.any(lam <= 0.0):
-        raise DomainError(f"eigenvalues must be positive, got min {lam.min():.3e}")
+    lam = _positive_spectrum(values)
     d = lam.size
     pairs = d * (d - 1) // 2
     li = lam[:, None]
@@ -271,7 +287,7 @@ def dk_matrix(values: np.ndarray, fn: SpectralFn,
     if fn.name == "sqrt":
         K = 1.0 / (np.sqrt(li) + np.sqrt(lj))
         return DkMatrix(_mirror_upper(K), 0, pairs)
-    near = np.abs(li - lj) < degeneracy_rel_tol * np.maximum(li, lj)
+    near = near_degenerate(lam, degeneracy_rel_tol)
     if fn.name == "log":
         taylor = 1.0 / li - (lj - li) / (2.0 * li * li)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,7 +301,7 @@ def dk_matrix(values: np.ndarray, fn: SpectralFn,
             quotient = (fi - fj) / (li - lj)
         K = np.where(near, fn.df(0.5 * (li + lj)), quotient)
         np.fill_diagonal(K, fn.df(lam))
-    hits = int(np.count_nonzero(np.triu(near, k=1)))
+    hits = int(np.count_nonzero(near))
     return DkMatrix(_mirror_upper(K), hits, pairs)
 
 
@@ -316,8 +332,8 @@ def spectral_backward(eig: EigenPair, fn: SpectralFn, upstream: np.ndarray,
     return sym(V @ inner @ V.T)
 
 
-def condition_ratio(values: np.ndarray) -> float:
-    """kappa = lambda_max / lambda_min of a positive spectrum."""
+def _positive_spectrum(values: np.ndarray) -> np.ndarray:
+    """The eigenvalues as a flat float array; raises unless nonempty, finite and positive."""
     lam = np.asarray(values, dtype=np.float64).ravel()
     if lam.size == 0:
         raise DomainError("empty eigenvalue list")
@@ -325,6 +341,12 @@ def condition_ratio(values: np.ndarray) -> float:
         raise NonFinite("eigenvalues contain NaN or Inf")
     if np.any(lam <= 0.0):
         raise DomainError(f"eigenvalues must be positive, got min {lam.min():.3e}")
+    return lam
+
+
+def condition_ratio(values: np.ndarray) -> float:
+    """kappa = lambda_max / lambda_min of a positive spectrum."""
+    lam = _positive_spectrum(values)
     return float(np.max(lam) / np.min(lam))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -26,19 +26,21 @@ from . import autodiff as ad
 from .container import read_matrix_container, save_checkpoint
 from .data import (
     BandMixtureSpec,
+    SegmentBatch,
     SynthSpec,
-    estimate_covariance,
     analysis_bands,
+    bandpass,
+    estimate_covariance,
     split_indices,
     synth_band_mixture,
     synth_dataset,
     trial_key,
 )
-from .embedding import EmbeddingKind
+from .embedding import EmbeddingKind, embed_batch
 from .errors import InvalidSpec
-from .network import ModelConfig, SpdTokenTransformer
+from .network import ModelConfig, SpdTokenTransformer, geometric_bias
 from .optim import Adam
-from .spdcore import CLIP_FLOOR, DEGENERACY_REL_TOL, eig_sym_batch
+from .spdcore import CLIP_FLOOR, near_degenerate
 from .stats import mean_std
 
 DEFAULT_SEEDS = (42, 123, 456, 789, 1024)
@@ -124,47 +126,22 @@ class TokenDataset:
     meta: dict           # matrix dim, embedding, branch diagnostics
 
 
-def _branch_diagnostics(values: np.ndarray, kind: EmbeddingKind) -> dict:
-    """Would-be divided-difference branch hits for the token spectra.
-
-    Counts eigenvalue pairs within the log backward pass's near-degeneracy
-    tolerance, aggregated over all embedded matrices.
-    """
-    n, d = values.shape
-    pairs_per_matrix = d * (d - 1) // 2
-    total_pairs = int(n * pairs_per_matrix)
-    if kind is not EmbeddingKind.LOG_EUCLIDEAN or d < 2:
-        return {"taylor_hits": 0, "pairs": total_pairs, "branch_fraction": 0.0}
-    lam = np.maximum(values, CLIP_FLOOR)
-    li = lam[:, :, None]
-    lj = lam[:, None, :]
-    near = np.abs(li - lj) < DEGENERACY_REL_TOL * np.maximum(li, lj)
-    iu = np.triu_indices(d, k=1)
-    hits = int(np.count_nonzero(near[:, iu[0], iu[1]]))
-    return {
-        "taylor_hits": hits,
-        "pairs": total_pairs,
-        "branch_fraction": hits / total_pairs if total_pairs else 0.0,
-    }
-
-
 def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR):
-    """Tokens plus branch diagnostics for a stack of SPD matrices."""
-    from .spdcore import LOG, SQRT, sym
+    """Tokens plus branch diagnostics for a stack of SPD matrices.
 
+    The diagnostics count the eigenvalue pairs of the token spectra that fall
+    within the log backward pass's near-degeneracy tolerance, aggregated over
+    all embedded matrices; they reuse the tokeniser's eigenvalues.
+    """
     kind = EmbeddingKind(kind)
-    Cs = sym(np.asarray(Cs, dtype=np.float64))
-    d = Cs.shape[-1]
-    i, j = np.triu_indices(d)
-    if kind is EmbeddingKind.EUCLIDEAN:
-        diag = {"taylor_hits": 0, "pairs": Cs.shape[0] * d * (d - 1) // 2, "branch_fraction": 0.0}
-        return Cs[:, i, j].copy(), diag
-    V, vals = eig_sym_batch(Cs)
-    diag = _branch_diagnostics(vals, kind)
-    fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
-    lam = fn.f(np.maximum(vals, clip))
-    out = sym((V * lam[:, None, :]) @ np.swapaxes(V, 1, 2))
-    return out[:, i, j].copy(), diag
+    tokens, values = embed_batch(Cs, kind, clip, return_values=True)
+    n, d, _ = np.shape(Cs)
+    pairs = n * d * (d - 1) // 2
+    hits = 0
+    if kind is EmbeddingKind.LOG_EUCLIDEAN:
+        hits = int(np.count_nonzero(near_degenerate(np.maximum(values, clip))))
+    return tokens, {"taylor_hits": hits, "pairs": pairs,
+                    "branch_fraction": hits / pairs if pairs else 0.0}
 
 
 def _matrix_token_dataset(mats, labels, kind, extra_meta=None) -> TokenDataset:
@@ -189,8 +166,6 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
         if "matrices" in packed:
             return _matrix_token_dataset(packed["matrices"],
                                          packed["labels"].astype(np.int64), kind)
-        from .data import SegmentBatch, bandpass
-
         batch = SegmentBatch(packed["segments"], packed["labels"].astype(np.int64),
                              float(packed["sample_rate"]))
 
@@ -200,8 +175,6 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
         tokens, diag = tokenize_matrices(covs, kind)
         tokens = tokens[:, None, :]
     else:
-        from .data import bandpass
-
         bands = analysis_bands(batch.sample_rate_hz)
         covs = np.stack([estimate_covariance(bandpass(x, b))
                          for x in batch.data for b in bands])
@@ -210,6 +183,22 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
     labels = np.asarray(batch.labels, dtype=np.int64)
     meta = {"dim": batch.data.shape[1], "embedding": kind.value, "branch": diag}
     return TokenDataset(tokens, labels, keys, int(labels.max()) + 1, meta)
+
+
+def geometric_setup(model: dict, token_ds: TokenDataset, attn_bias=None):
+    """Model overrides and attention bias for a run on pre-tokenised data.
+
+    With geometric attention the token kind defaults to the data's embedding,
+    and the transport-distance bias is computed unless one is passed in; the
+    bias depends only on the tokens, so callers running several seeds compute
+    it once.
+    """
+    model = dict(model)
+    if model.get("attention") == "geometric":
+        model.setdefault("token_kind", token_ds.meta["embedding"])
+        if attn_bias is None:
+            attn_bias = geometric_bias(token_ds.tokens, model["token_kind"])
+    return model, attn_bias
 
 
 @dataclass
@@ -254,13 +243,10 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
     n, T, D = tokens.shape
     train_idx, val_idx, test_idx = split_indices(token_ds.keys, exp.data.split_seed,
                                                  exp.data.ratios)
-    model_cfg = ModelConfig(d_token=D, n_classes=token_ds.n_classes, seq_len=T,
-                            **exp.model)
+    model_over, attn_bias = geometric_setup(exp.model, token_ds, attn_bias)
+    exp = replace(exp, model=model_over)
+    model_cfg = ModelConfig(d_token=D, n_classes=token_ds.n_classes, seq_len=T, **model_over)
     model = SpdTokenTransformer(model_cfg, seed=seed)
-    if model_cfg.attention == "geometric" and attn_bias is None:
-        from .network import geometric_bias
-
-        attn_bias = geometric_bias(tokens, model_cfg.token_kind)
     opt = Adam(model.params, lr=exp.lr)
     shuffle_rng = np.random.default_rng([seed, 1])
     dropout_rng = np.random.default_rng([seed, 2])
@@ -337,21 +323,11 @@ def write_run_dir(out_dir: str, report: RunReport, model, best_state):
 def train_experiment(exp: ExperimentConfig, out_root: str | None = None):
     """Run every seed; returns (summary dict, list of RunReports)."""
     token_ds = tokenize(exp.data)
-    attn_bias = None
-    model_over = dict(exp.model)
-    if model_over.get("attention") == "geometric":
-        from .network import geometric_bias
-
-        attn_bias = geometric_bias(token_ds.tokens,
-                                   model_over.get("token_kind", exp.data.embedding))
-        model_over.setdefault("token_kind", exp.data.embedding)
+    _, attn_bias = geometric_setup(exp.model, token_ds)
     reports = []
     for seed in exp.seeds:
         out_dir = os.path.join(out_root, f"seed{seed}") if out_root else None
-        exp_seeded = ExperimentConfig(data=exp.data, model=model_over, lr=exp.lr,
-                                      batch_size=exp.batch_size, epochs=exp.epochs,
-                                      seeds=exp.seeds)
-        reports.append(run_single(exp_seeded, token_ds, seed, out_dir, attn_bias))
+        reports.append(run_single(exp, token_ds, seed, out_dir, attn_bias))
     finals = [r.final_test_accuracy for r in reports]
     mean, std = mean_std(finals)
     wall = [row["wall_clock_s"] for r in reports for row in r.epochs]

@@ -24,9 +24,16 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry, spdcore
 from .data import SynthSpec, synth_dataset
-from .embedding import EmbeddingKind, embed, embed_backward, unvech, vech
+from .embedding import EmbeddingKind, embed, embed_backward, reconstruct_spd, vech
 from .errors import InvalidSpec
-from .geometry import bw_barycenter, bw_distance, dispersion_report, distance, DistanceKind
+from .geometry import (
+    DistanceKind,
+    barycenter_map,
+    bw_barycenter,
+    bw_distance,
+    dispersion_report,
+    distance,
+)
 from .network import ModelConfig, SpdTokenTransformer
 from .spdcore import (
     IDENTITY,
@@ -34,11 +41,10 @@ from .spdcore import (
     SQRT,
     dk_matrix,
     eig_sym,
-    eig_sym_batch,
+    random_orthogonal,
     spectral_apply,
-    spectral_apply_batch,
     spectral_backward,
-    sym,
+    spectral_reconstruct,
 )
 from .stats import loglog_slope
 
@@ -67,14 +73,13 @@ def _random_spd_stack(rng, n, d, kappa_max):
     mats = np.empty((n, d, d))
     for i in range(n):
         kappa = 10 ** rng.uniform(0.0, np.log10(kappa_max)) if d > 1 else 1.0
-        Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-        Q = Q * np.sign(np.diag(R))
+        Q = random_orthogonal(rng, d)
         if d == 1:
             lam = np.array([1.0])
         else:
             lam = np.concatenate([[1.0, kappa], np.exp(rng.uniform(0, np.log(kappa), d - 2))])
-        mats[i] = (Q * lam) @ Q.T
-    return sym(mats)
+        mats[i] = spectral_reconstruct(Q, lam, IDENTITY)
+    return mats
 
 
 def _random_symmetric(rng, d):
@@ -112,38 +117,17 @@ def suite_norm_equivalence(rng, trials=300) -> list:
 
 
 def distortion_sweep(rng, d, n_pairs, kappa_max=100.0) -> dict:
-    """Vectorised distortion-bound check over random pairs at one dimension."""
+    """Vectorised distortion-bound check over random pairs at one dimension,
+    with each pair's measured condition ratio as the kappa bound."""
     As = _random_spd_stack(rng, n_pairs, d, kappa_max)
     Bs = _random_spd_stack(rng, n_pairs, d, kappa_max)
-    Va, la = eig_sym_batch(As)
-    Vb, lb = eig_sym_batch(Bs)
-    sqA = sym((Va * np.sqrt(np.maximum(la, 0.0))[:, None, :]) @ np.swapaxes(Va, 1, 2))
-    sqB = sym((Vb * np.sqrt(np.maximum(lb, 0.0))[:, None, :]) @ np.swapaxes(Vb, 1, 2))
-    iu = np.triu_indices(d)
-    tok = np.linalg.norm(sqA[:, iu[0], iu[1]] - sqB[:, iu[0], iu[1]], axis=1)
-    inner = sqA @ Bs @ sqA
-    _, cross = eig_sym_batch(sym(inner))
-    bracket = (np.trace(As, axis1=1, axis2=2) + np.trace(Bs, axis1=1, axis2=2)
-               - 2.0 * np.sum(np.sqrt(np.maximum(cross, 0.0)), axis=1))
-    dbw = np.sqrt(np.maximum(bracket, 0.0))
-    sq_diff = np.linalg.norm((sqA - sqB).reshape(n_pairs, -1), axis=1)
-    _, diff_vals = eig_sym_batch(sym(As - Bs))
-    trace_norm = np.sum(np.abs(diff_vals), axis=1)
-    fro_diff = np.linalg.norm((As - Bs).reshape(n_pairs, -1), axis=1)
-    lam_min = np.minimum(la.min(axis=1), lb.min(axis=1))
-    lam_max = np.maximum(la.max(axis=1), lb.max(axis=1))
-    kappa = lam_max / lam_min
-    slack = 1e-9
-    violations = {
-        "lower": int(np.sum(tok < dbw / np.sqrt(2.0 * (kappa + 1.0)) - slack)),
-        "sandwich_upper": int(np.sum(tok > sq_diff + slack)),
-        "sandwich_lower": int(np.sum(tok < sq_diff / np.sqrt(2.0) - slack)),
-        "procrustes": int(np.sum(dbw > sq_diff + slack)),
-        "powers_stormer": int(np.sum(sq_diff ** 2 > trace_norm + slack)),
-        "lipschitz": int(np.sum(sq_diff > fro_diff / (2.0 * np.sqrt(lam_min)) + slack)),
-    }
+    chk = geometry.distortion_checks(As, Bs)
+    bounds = {"lower": chk.lower_ok, "sandwich_upper": chk.upper_ok,
+              "sandwich_lower": chk.sandwich_lower_ok, "procrustes": chk.procrustes_ok,
+              "powers_stormer": chk.powers_stormer_ok, "lipschitz": chk.lipschitz_ok}
+    violations = {name: int(np.sum(~ok)) for name, ok in bounds.items()}
     return {"violations": violations, "n_pairs": n_pairs, "dim": d,
-            "max_ratio": float(np.max(tok / np.maximum(dbw, 1e-30)))}
+            "max_ratio": float(np.max(chk.token_distance / np.maximum(chk.bw, 1e-30)))}
 
 
 def suite_distortion(rng, dims=(2, 5, 8, 22), n_pairs=1000, kappa_max=100.0) -> list:
@@ -158,10 +142,9 @@ def suite_distortion(rng, dims=(2, 5, 8, 22), n_pairs=1000, kappa_max=100.0) -> 
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 9))
-        Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-        Q = Q * np.sign(np.diag(R))
-        A = sym((Q * rng.uniform(0.5, 4.0, d)) @ Q.T)
-        B = sym((Q * rng.uniform(0.5, 4.0, d)) @ Q.T)
+        Q = random_orthogonal(rng, d)
+        A = spectral_reconstruct(Q, rng.uniform(0.5, 4.0, d), IDENTITY)
+        B = spectral_reconstruct(Q, rng.uniform(0.5, 4.0, d), IDENTITY)
         gap = abs(bw_distance(A, B) - np.linalg.norm(spectral_apply(A, SQRT) - spectral_apply(B, SQRT)))
         worst = max(worst, gap)
     results.append(PropertyResult("distortion", "commuting_identity", worst <= 1e-8,
@@ -177,8 +160,7 @@ def suite_injectivity(rng, trials=100) -> list:
     for _ in range(trials):
         d = int(rng.integers(2, 9))
         A = _random_spd_stack(rng, 1, d, 100.0)[0]
-        S = unvech(embed(A, EmbeddingKind.BWSPD))
-        B = sym(S @ S)
+        B = reconstruct_spd(embed(A, EmbeddingKind.BWSPD), EmbeddingKind.BWSPD)
         worst = max(worst, float(np.linalg.norm(A - B) / max(np.linalg.norm(A), 1e-30)))
     return [PropertyResult("injectivity", "token_round_trip", worst <= 1e-8,
                            {"trials": trials, "worst_rel_gap": worst})]
@@ -430,10 +412,7 @@ def suite_barycenter(rng, batches=5, n=32, eps=0.2, d=5, tol=1e-10) -> list:
         ds = synth_dataset(SynthSpec(n_classes=1, dim=d, trials_per_class=n,
                                      separation=0.0, dispersion=eps, seed=700 + b))
         mu = bw_barycenter(ds.matrices, tol=tol)
-        sq = spectral_apply(mu, SQRT)
-        inner = sq[None] @ ds.matrices @ sq[None]
-        mapped = sym(np.mean(spectral_apply_batch(sym(inner), SQRT), axis=0))
-        resid = np.linalg.norm(mu - mapped) / np.linalg.norm(mu)
+        resid = np.linalg.norm(mu - barycenter_map(mu, ds.matrices)) / np.linalg.norm(mu)
         worst_resid = max(worst_resid, resid)
         ok = ok and resid <= tol
     results.append(PropertyResult("barycenter", "clustered_residual", ok,

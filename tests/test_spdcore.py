@@ -122,6 +122,8 @@ class TestSpectralApply:
         batch = spectral_apply_batch(Cs, SQRT)
         for i in range(4):
             assert np.allclose(batch[i], spectral_apply(Cs[i], SQRT), atol=1e-11)
+        one = spectral_apply_batch(Cs[:1], SQRT)[0]
+        assert one.tobytes() == spectral_apply(Cs[0], SQRT).tobytes()
 
 
 class TestDkMatrix:

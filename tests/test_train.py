@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from spdtok.container import write_matrix_container
-from spdtok.data import BandMixtureSpec, analysis_bands, multiband_tokens, synth_band_mixture
-from spdtok.embedding import EmbeddingKind, embed_batch
+from spdtok.data import (
+    BandMixtureSpec,
+    analysis_bands,
+    bandpass,
+    estimate_covariance,
+    synth_band_mixture,
+)
+from spdtok.embedding import EmbeddingKind, embed, embed_batch
 from spdtok.errors import InvalidSpec
 from spdtok.train import (
     DataConfig,
@@ -61,6 +67,9 @@ class TestTokenize:
             toks, diag = tokenize_matrices(Cs, kind)
             assert np.allclose(toks, embed_batch(Cs, kind), atol=1e-10)
             assert diag["pairs"] == 6 * 10
+            # one-matrix stack: the same bytes as the single-matrix tokeniser
+            one, _ = tokenize_matrices(Cs[:1], kind)
+            assert one[0].tobytes() == embed(Cs[0], kind).tobytes()
 
     def test_synth_source(self):
         tds = tokenize(DataConfig(source="synth", embedding="bwspd", synth=SYNTH))
@@ -75,8 +84,9 @@ class TestTokenize:
                                   multiband=True, band_mixture=spec.to_dict()))
         assert tds.tokens.shape == (6, 3, 36)
         batch = synth_band_mixture(spec)
-        manual = multiband_tokens(batch.data[0], analysis_bands(spec.sample_rate_hz),
-                                  EmbeddingKind.LOG_EUCLIDEAN)
+        covs = np.stack([estimate_covariance(bandpass(batch.data[0], b))
+                         for b in analysis_bands(spec.sample_rate_hz)])
+        manual = embed_batch(covs, EmbeddingKind.LOG_EUCLIDEAN)
         assert np.allclose(tds.tokens[0], manual, atol=1e-9)
 
     def test_container_source(self, rng, tmp_path):
@@ -131,6 +141,15 @@ class TestRunSingle:
         csv_lines = (out / "epochs.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 3
         assert csv_lines[0].endswith("wall_clock_s")
+
+    def test_geometric_token_kind_follows_data_embedding(self):
+        exp = small_exp(model=dict(d_model=16, layers=1, heads=2, d_ff=16, dropout=0.1,
+                                   attention="geometric"), epochs=1)
+        tds = tokenize(exp.data)
+        assert tds.meta["embedding"] == "logeuclidean"
+        rep = run_single(exp, tds, 5)
+        assert rep.config["model"]["token_kind"] == "logeuclidean"
+        assert rep.config["experiment"]["model"]["token_kind"] == "logeuclidean"
 
     def test_metrics_json_bytes_reproducible(self, tmp_path):
         exp = small_exp()
