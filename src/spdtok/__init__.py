@@ -1,8 +1,9 @@
 """spdtok: SPD-token transformer for covariance-matrix classification.
 
 Modules:
-  spdcore    - Jacobi eigendecomposition, spectral matrix functions, exact gradients
-  geometry   - Bures-Wasserstein / Log-Euclidean distances, barycenter, distortion checks
+  spdcore    - LAPACK eigendecomposition, spectral matrix functions, exact gradients
+  geometry   - Procrustes Bures-Wasserstein / Log-Euclidean distances, barycenter,
+               distortion checks
   embedding  - vech packing and the three geometric token embeddings
   autodiff   - minimal reverse-mode tape on numpy arrays
   network    - transformer classifier with BN-Embed and optional geometric attention

@@ -1,20 +1,23 @@
 """Distances, barycenters and distortion diagnostics on the SPD cone.
 
-Three metrics are provided. The transport distance
+Three metrics are provided. The transport distance is computed in the
+Procrustes form (Bhatia, Jain & Lim, Expo. Math. 37, 2019)
 
-    d_bw(A, B)^2 = tr A + tr B - 2 tr((A^{1/2} B A^{1/2})^{1/2})
+    d_bw(A, B) = min_U ||A^{1/2} - B^{1/2} U||_F,   U orthogonal,
 
-is computed through the spectral machinery; the bracketed quantity can go
-marginally negative by roundoff and is clamped at zero (a warning is logged
-when the excursion exceeds 1e-9 relative to tr A + tr B). The tangent-space
+whose minimiser is U = W Z^T for the SVD B^{1/2} A^{1/2} = W S Z^T. It is the
+norm of a difference, so unlike the trace bracket
+tr A + tr B - 2 tr((A^{1/2} B A^{1/2})^{1/2}) it neither cancels nor goes
+negative. The square roots come from spdcore with eigenvalues floored at the
+1e-12 clip, so an indefinite input gives the distance to its clip onto the
+SPD cone, the convention every sqrt and log token follows. The tangent-space
 distance is ||log A - log B||_F and the flat distance is ||A - B||_F.
 
-Kernels and wrappers: `_bw_from_sqrt` is the one place the bracket is
-computed, from a precomputed sqrt(A) stack. `bw_distance_pairs` (aligned
-stacks), `bw_distances_to` (one reference, square-rooted once) and
-`bw_distance` (one pair) wrap it, so the negative-bracket warning covers
-every transport-distance path. `distortion_checks` is the batched
-distortion-bound kernel and `distortion_check` its one-pair wrapper.
+Kernels and wrappers: `_bw_from_sqrts` is the one transport-distance kernel,
+from a pair of square-root stacks. `bw_distance_pairs` (aligned stacks),
+`bw_distances_to` (one reference, square-rooted once) and `bw_distance` (one
+pair) wrap it. `distortion_checks` is the batched distortion-bound kernel and
+`distortion_check` its one-pair wrapper.
 
 The barycenter solves the fixed-point equation
 
@@ -26,7 +29,6 @@ clustered batches this package produces and is residual-checked on exit.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -36,11 +38,6 @@ from . import spdcore
 from .embedding import vech_batch
 from .errors import DimMismatch, InvalidSpec, NoConvergence
 from .spdcore import SQRT, spectral_apply, spectral_apply_batch, sym
-
-log = logging.getLogger(__name__)
-
-NEGATIVE_BRACKET_REL_TOL = 1e-9
-
 
 class DistanceKind(str, Enum):
     BURES_WASSERSTEIN = "bw"
@@ -56,19 +53,12 @@ def _check_pair(A, B):
     return A, B
 
 
-def _bw_from_sqrt(As: np.ndarray, sqAs: np.ndarray, Bs: np.ndarray) -> np.ndarray:
-    """d_bw(A_i, B_i) given sqrt(A_i); A and sqrt(A) may be one matrix or a stack
-    aligned with Bs. Negative brackets are clamped, with a warning past
-    NEGATIVE_BRACKET_REL_TOL * (tr A + tr B)."""
-    _, cross = spdcore.eig_sym_batch(sqAs @ Bs @ sqAs)
-    scale = np.trace(As, axis1=-2, axis2=-1) + np.trace(Bs, axis1=-2, axis2=-1)
-    bracket = scale - 2.0 * np.sum(np.sqrt(np.maximum(cross, 0.0)), axis=-1)
-    bad = -bracket > NEGATIVE_BRACKET_REL_TOL * scale
-    if np.any(bad):
-        worst = int(np.argmin(np.where(bad, bracket, np.inf)))
-        log.warning("bw bracket %.3e below zero (scale %.3e) in %d of %d pairs; clamping",
-                    bracket[worst], scale[worst], int(np.count_nonzero(bad)), bracket.size)
-    return np.sqrt(np.maximum(bracket, 0.0))
+def _bw_from_sqrts(sqAs: np.ndarray, sqBs: np.ndarray) -> np.ndarray:
+    """d_bw(A_i, B_i) as the orthogonal-Procrustes residual ||sqrt(A) - sqrt(B) U||_F
+    of aligned square-root stacks; either may be one matrix broadcast against
+    the other stack."""
+    W, _, Zt = np.linalg.svd(np.swapaxes(sqBs, -1, -2) @ sqAs)
+    return np.linalg.norm(sqAs - sqBs @ (W @ Zt), axis=(-2, -1))
 
 
 def bw_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -78,8 +68,7 @@ def bw_distance(A: np.ndarray, B: np.ndarray) -> float:
 
 def bw_distances_to(Cs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """d_bw(C_i, ref) for a stack of matrices against one reference."""
-    ref = np.asarray(ref, dtype=np.float64)
-    return _bw_from_sqrt(ref, spectral_apply(ref, SQRT), np.asarray(Cs, dtype=np.float64))
+    return _bw_from_sqrts(spectral_apply(ref, SQRT), spectral_apply_batch(Cs, SQRT))
 
 
 def bw_distance_pairs(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
@@ -88,7 +77,7 @@ def bw_distance_pairs(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
     Bs = np.asarray(Bs, dtype=np.float64)
     if As.shape != Bs.shape or As.ndim != 3:
         raise DimMismatch(f"incompatible stacks {As.shape} and {Bs.shape}")
-    return _bw_from_sqrt(As, spectral_apply_batch(As, SQRT), Bs)
+    return _bw_from_sqrts(spectral_apply_batch(As, SQRT), spectral_apply_batch(Bs, SQRT))
 
 
 def logeuclidean_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -206,7 +195,7 @@ def distortion_checks(As: np.ndarray, Bs: np.ndarray, kappa_bound=None,
     sqB = spdcore.spectral_reconstruct(Vb, lb, SQRT)
     n = len(la)
     tok = np.linalg.norm(vech_batch(sqA) - vech_batch(sqB), axis=1)
-    dbw = _bw_from_sqrt(As, sqA, Bs)
+    dbw = _bw_from_sqrts(sqA, sqB)
     sq_diff = np.linalg.norm((sqA - sqB).reshape(n, -1), axis=1)
     _, diff_vals = spdcore.eig_sym_batch(As - Bs)
     trace_norm = np.sum(np.abs(diff_vals), axis=1)

@@ -13,12 +13,30 @@ form 1/(sqrt(lambda_i) + sqrt(lambda_j)), which also covers the diagonal; for
 f = log a two-term Taylor branch replaces the quotient when a pair of
 eigenvalues nearly coincides.
 
-The eigensolver is a cyclic Jacobi iteration. Pairs are visited in a fixed
-round-robin schedule (every pair exactly once per sweep); the pairs inside one
-round are disjoint, so their rotations commute and can be applied with
-vectorised row/column updates, which also makes a whole stack of matrices
-decomposable in one call. All routines are pure and deterministic: the same
-input bytes produce the same output bytes on one platform.
+The eigensolver is LAPACK's symmetric driver through np.linalg.eigh, applied
+to the exactly symmetrised input. Its output is put in a canonical form: the
+eigenvalues in descending order (a stable sort, so ties keep LAPACK's order)
+and each eigenvector's largest-magnitude component positive. LAPACK
+decomposes every matrix of a stack on its own, so a matrix's eigenpair, and
+every token and distance built from it, is bit-identical whatever else shares
+its batch. All routines are pure and deterministic: the same input bytes
+produce the same output bytes on one platform.
+
+Accuracy: LAPACK's QR-type solver is normwise accurate, so a small eigenvalue
+carries an absolute error near eps * lambda_max. A Jacobi solver keeps small
+eigenvalues of graded matrices to high relative accuracy (Demmel & Veselic,
+SIAM J. Matrix Anal. Appl. 13(4), 1992). Worst relative error of the two
+smallest eigenvalues over 20 draws against a 50-digit mpmath reference, d = 8;
+"graded" is D A D with D = diag(geomspace(kappa^-1/2, 1)) and A SPD with
+kappa(A) <= 10 (with the grading reversed, eigh stays below 3e-13):
+
+    spectrum        kappa   Jacobi    eigh
+    random          1e8     9e-9      6.3e-9
+    graded D A D    1e4     7.7e-16   1.7e-12
+    graded D A D    1e8     6.1e-16   4.5e-9
+    graded D A D    1e12    1.3e-15   1.7e-5
+
+No claim this package checks depends on the graded regime.
 
 Kernels and wrappers: `eig_sym_batch` is the one eigensolver entry point
 and `eig_sym` wraps it on a one-matrix stack. `spectral_reconstruct` is the
@@ -32,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,8 +57,6 @@ import numpy as np
 from .errors import DimMismatch, DomainError, NoConvergence, NonFinite
 
 CLIP_FLOOR = 1e-12
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 64
 DEGENERACY_REL_TOL = 1e-8
 
 
@@ -85,80 +100,36 @@ IDENTITY = SpectralFn("identity", lambda x: x, lambda x: np.ones_like(x))
 EXP = SpectralFn("exp", np.exp, np.exp)  # defined on all of R; used to invert LOG
 
 
-@lru_cache(maxsize=None)
-def _round_robin_rounds(d: int) -> tuple:
-    """Fixed round-robin schedule: each round is a set of disjoint (p, q) pairs,
-    and a full cycle of rounds covers every p < q exactly once."""
-    slots = list(range(d)) if d % 2 == 0 else list(range(d)) + [-1]
-    n = len(slots)
-    rounds = []
-    arr = slots[:]
-    for _ in range(n - 1):
-        ps, qs = [], []
-        for i in range(n // 2):
-            a, b = arr[i], arr[n - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
-        arr = [arr[0]] + [arr[-1]] + arr[1:-1]
-    return tuple(rounds)
+def eig_sym(C: np.ndarray) -> EigenPair:
+    """Eigendecomposition of one symmetric matrix.
+
+    Returns eigenvalues in descending order and eigenvectors as columns, with
+    each eigenvector's largest-magnitude component made positive so the output
+    is unique. Raises NonFinite on NaN/Inf input and NoConvergence if LAPACK
+    fails to converge.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise DimMismatch(f"expected a square matrix, got shape {C.shape}")
+    V, vals = eig_sym_batch(C[None])
+    return EigenPair(vectors=V[0], values=vals[0])
 
 
-def _jacobi_stack(A: np.ndarray, tol: float, max_sweeps: int):
-    """Diagonalise a stack of symmetric matrices in place; returns (V, values)."""
-    B, d, _ = A.shape
-    V = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-    norm_c = np.sqrt(np.sum(A * A, axis=(1, 2)))
-    if d == 1:
-        return V, A[:, :, 0].copy()
-    rounds = _round_robin_rounds(d)
-    offmask = ~np.eye(d, dtype=bool)
-    converged = False
-    for sweep in range(max_sweeps + 1):
-        off = np.sqrt(np.sum((A * A)[:, offmask], axis=1))
-        if np.all(off <= tol * norm_c):
-            converged = True
-            break
-        if sweep == max_sweeps:
-            break
-        for p, q in rounds:
-            apq = A[:, p, q]
-            app = A[:, p, p].copy()
-            aqq = A[:, q, q].copy()
-            rotate = np.abs(apq) > 0.0
-            safe = np.where(rotate, apq, 1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                tau = (aqq - app) / (2.0 * safe)
-                # smaller root of t^2 + 2*tau*t - 1 = 0; hypot avoids tau^2 overflow
-                t = np.where(np.signbit(tau), -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(rotate, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rows_p = A[:, p, :]
-            rows_q = A[:, q, :]
-            A[:, p, :] = c[:, :, None] * rows_p - s[:, :, None] * rows_q
-            A[:, q, :] = s[:, :, None] * rows_p + c[:, :, None] * rows_q
-            cols_p = A[:, :, p].copy()
-            cols_q = A[:, :, q].copy()
-            A[:, :, p] = cols_p * c[:, None, :] - cols_q * s[:, None, :]
-            A[:, :, q] = cols_p * s[:, None, :] + cols_q * c[:, None, :]
-            # exact values for the rotated 2x2 block
-            A[:, p, p] = app - t * apq
-            A[:, q, q] = aqq + t * apq
-            A[:, p, q] = 0.0
-            A[:, q, p] = 0.0
-            vp = V[:, :, p].copy()
-            vq = V[:, :, q].copy()
-            V[:, :, p] = vp * c[:, None, :] - vq * s[:, None, :]
-            V[:, :, q] = vp * s[:, None, :] + vq * c[:, None, :]
-    if not converged:
-        worst = float(np.max(off / np.maximum(norm_c, np.finfo(np.float64).tiny)))
-        raise NoConvergence(
-            f"Jacobi sweep limit {max_sweeps} reached (worst relative off-norm {worst:.3e})",
-            residual=worst,
-        )
-    vals = np.diagonal(A, axis1=1, axis2=2).copy()
+def eig_sym_batch(Cs: np.ndarray):
+    """Eigendecomposition of a (batch, d, d) stack; returns (vectors, values).
+
+    Each matrix is decomposed on its own, so its output bits do not depend on
+    the rest of the stack.
+    """
+    Cs = np.asarray(Cs, dtype=np.float64)
+    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2]:
+        raise DimMismatch(f"expected a (batch, d, d) stack, got shape {Cs.shape}")
+    if not np.all(np.isfinite(Cs)):
+        raise NonFinite("stack contains NaN or Inf")
+    try:
+        vals, V = np.linalg.eigh(sym(Cs))
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"LAPACK eigensolver failed: {err}") from err
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
     V = np.take_along_axis(V, order[:, None, :], axis=2)
@@ -167,37 +138,6 @@ def _jacobi_stack(A: np.ndarray, tol: float, max_sweeps: int):
     picked = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
     V = V * np.where(picked < 0.0, -1.0, 1.0)[:, None, :]
     return V, vals
-
-
-def eig_sym(C: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenPair:
-    """Eigendecomposition of one symmetric matrix.
-
-    Returns eigenvalues in descending order and eigenvectors as columns, with
-    each eigenvector's largest-magnitude component made positive so the output
-    is unique. Raises NonFinite on NaN/Inf input and NoConvergence if the
-    off-diagonal norm has not fallen below tol * ||C||_F after max_sweeps.
-    """
-    C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {C.shape}")
-    V, vals = eig_sym_batch(C[None], tol, max_sweeps)
-    return EigenPair(vectors=V[0], values=vals[0])
-
-
-def eig_sym_batch(Cs: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a (batch, d, d) stack; returns (vectors, values).
-
-    Sweeps continue until every matrix in the stack converges, so trailing
-    bits may differ from one-at-a-time calls; each stacked call is itself
-    deterministic.
-    """
-    Cs = np.asarray(Cs, dtype=np.float64)
-    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2]:
-        raise DimMismatch(f"expected a (batch, d, d) stack, got shape {Cs.shape}")
-    if not np.all(np.isfinite(Cs)):
-        raise NonFinite("stack contains NaN or Inf")
-    A = sym(Cs).copy()
-    return _jacobi_stack(A, tol, max_sweeps)
 
 
 def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -223,12 +223,15 @@ class RunReport:
         }
 
 
-def _evaluate(model, tokens, labels, batch_size=512):
+def _evaluate(model, tokens, labels, batch_size=512, attn_bias=None):
+    """Mean loss and accuracy in eval mode; `attn_bias` holds the rows of the
+    precomputed geometric-attention bias that belong to `tokens`."""
     total_loss = 0.0
     correct = 0
     for start in range(0, len(labels), batch_size):
         sl = slice(start, start + batch_size)
-        logits = model.forward(tokens[sl], training=False)
+        bias = attn_bias[sl] if attn_bias is not None else None
+        logits = model.forward(tokens[sl], training=False, attn_bias=bias)
         loss = ad.cross_entropy(logits, labels[sl])
         total_loss += float(loss.data) * len(labels[sl])
         correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[sl]))
@@ -276,9 +279,10 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
             loss.backward()
             opt.step()
         wall = time.perf_counter() - t0
-        train_loss, train_acc = _evaluate(model, tokens[train_idx], labels[train_idx])
-        val_loss, val_acc = _evaluate(model, tokens[val_idx], labels[val_idx])
-        test_loss, test_acc = _evaluate(model, tokens[test_idx], labels[test_idx])
+        (train_loss, train_acc), (val_loss, val_acc), (test_loss, test_acc) = (
+            _evaluate(model, tokens[idx], labels[idx],
+                      attn_bias=attn_bias[idx] if attn_bias is not None else None)
+            for idx in (train_idx, val_idx, test_idx))
         rows.append({
             "epoch": epoch,
             "train_loss": train_loss, "train_acc": train_acc,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -176,8 +177,7 @@ def suite_metrics(rng, triples=1000) -> list:
             A = _random_spd_stack(rng, 1, 4, 100.0)[0]
             B = _random_spd_stack(rng, 1, 4, 100.0)[0]
             sym_worst = max(sym_worst, abs(distance(A, B, kind) - distance(B, A, kind)))
-            # the transport bracket subtracts two trace-sized quantities, so the
-            # self-distance roundoff floor grows like sqrt(eps * tr A)
+            # sqrt(tr A) = ||sqrt(A)||_F, the size of the roots the distance compares
             scale = max(1.0, np.sqrt(np.trace(A)))
             self_worst = max(self_worst, distance(A, A, kind) / scale)
         for _ in range(triples):
@@ -332,8 +332,34 @@ def suite_gradient_oracle(rng, dims=(2, 3, 5, 8, 22), per_dim=40) -> list:
                             "worst_err_over_tol": worst})]
 
 
+@contextmanager
+def _frozen_relu(masks: list):
+    """Patch `ad.relu` for the block: with `masks` empty, each call records its
+    mask x > 0 and runs the real op; with `masks` filled, the calls replay the
+    recorded masks in order. A finite-difference stencil evaluated under the
+    masks of its base point measures the derivative of the branch the tape
+    differentiated, even when the step crosses a ReLU kink."""
+    real = ad.relu
+    recording = not masks
+    replay = iter(list(masks))
+
+    def relu(a):
+        a = ad.as_tensor(a)
+        if recording:
+            masks.append(a.data > 0)
+            return real(a)
+        return ad.Tensor(a.data * next(replay))
+
+    ad.relu = relu
+    try:
+        yield
+    finally:
+        ad.relu = real
+
+
 def micro_model_gradient_check(rng, n_params=50) -> dict:
-    """Finite differences on a tiny transformer, including the sqrt-token path."""
+    """Finite differences on a tiny transformer, including the sqrt-token path,
+    with every stencil evaluated under the ReLU masks of the base point."""
     d = 4
     D = d * (d + 1) // 2
     model = SpdTokenTransformer(ModelConfig(d_token=D, n_classes=3, d_model=16, layers=2,
@@ -342,11 +368,15 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
     tokens = np.stack([embed(C, EmbeddingKind.BWSPD) for C in Cs])[:, None, :]
     labels = rng.integers(0, 3, 6)
 
+    masks = []
+
     def loss_value():
-        return float(ad.cross_entropy(model.forward(tokens, training=True), labels).data)
+        with _frozen_relu(masks):
+            return float(ad.cross_entropy(model.forward(tokens, training=True), labels).data)
 
     model.zero_grad()
-    loss = ad.cross_entropy(model.forward(tokens, training=True), labels)
+    with _frozen_relu(masks):
+        loss = ad.cross_entropy(model.forward(tokens, training=True), labels)
     loss.backward()
     names = list(model.params)
     checked = 0
@@ -382,7 +412,8 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
     def loss_of_first(Cmat):
         toks = tokens.copy()
         toks[0, 0] = embed(Cmat, EmbeddingKind.BWSPD)
-        return float(ad.cross_entropy(model.forward(toks, training=True), labels).data)
+        with _frozen_relu(masks):
+            return float(ad.cross_entropy(model.forward(toks, training=True), labels).data)
 
     want = (loss_of_first(Cs[0] + h * E) - loss_of_first(Cs[0] - h * E)) / (2.0 * h)
     got = float(np.sum(grad_C0 * E))

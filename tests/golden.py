@@ -1,0 +1,99 @@
+"""Golden sha256 manifest of `metrics.json` for every frozen experiment.
+
+Each `spdtok.tasks` builder and each `configs/*.json` experiment is trained
+for 2 epochs at seed 42 and its `metrics.json` hashed. The hashes are
+bit-level facts about one platform, so the manifest also records a platform
+fingerprint, and `test_golden.py` compares hashes only where it matches.
+
+The test never writes the manifest. After a change that is meant to move
+the numerics, re-bless it explicitly and commit the diff:
+
+    PYTHONPATH=src python tests/golden.py --bless
+"""
+
+from __future__ import annotations
+
+import glob
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MANIFEST = os.path.join(ROOT, "docs", "golden_metrics.json")
+SEED = 42
+EPOCHS = 2
+
+
+def fingerprint() -> dict:
+    """numpy version, BLAS/LAPACK builds, machine and the SIMD features numpy found."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    features = getattr(umath, "__cpu_features__", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{deps['blas']['name']} {deps['blas'].get('version', '')}".strip(),
+        "lapack": f"{deps['lapack']['name']} {deps['lapack'].get('version', '')}".strip(),
+        "machine": platform.machine(),
+        "cpu_features": sorted(k for k, on in features.items() if on),
+    }
+
+
+def experiments() -> dict:
+    """name -> ExperimentConfig for every task builder and config file."""
+    from spdtok import tasks
+    from spdtok.train import ExperimentConfig
+
+    runs = {}
+    for emb in ("logeuclidean", "bwspd", "euclidean"):
+        runs[f"tasks/learning_sanity_{emb}"] = tasks.learning_sanity_experiment(emb)
+        runs[f"tasks/geometry_gap_{emb}"] = tasks.geometry_gap_experiment(emb)
+    for d in (8, 56):
+        for bn in (True, False):
+            runs[f"tasks/bn_dimension_{d}_{bn}"] = tasks.bn_dimension_experiment(d, bn)
+    for multiband in (True, False):
+        runs[f"tasks/band_mixture_{multiband}"] = tasks.band_mixture_experiment(multiband)
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        runs[f"configs/{name}"] = ExperimentConfig.from_json_file(path)
+    return runs
+
+
+def metrics_hashes() -> dict:
+    """name -> sha256 of the metrics.json of a seed-42, 2-epoch run."""
+    from spdtok.train import run_single, tokenize
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, exp in experiments().items():
+            exp.epochs = EPOCHS
+            exp.seeds = (SEED,)
+            run_dir = os.path.join(tmp, name.replace("/", "_"))
+            run_single(exp, tokenize(exp.data), SEED, run_dir)
+            with open(os.path.join(run_dir, "metrics.json"), "rb") as f:
+                out[name] = hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+def load_manifest() -> dict:
+    with open(MANIFEST, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def bless():
+    manifest = {"seed": SEED, "epochs": EPOCHS, "fingerprint": fingerprint(),
+                "metrics_sha256": metrics_hashes()}
+    with open(MANIFEST, "w", encoding="utf-8") as f:
+        json.dump(manifest, f, sort_keys=True, indent=2)
+        f.write("\n")
+    print(f"wrote {len(manifest['metrics_sha256'])} hashes to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--bless"]:
+        sys.exit("usage: PYTHONPATH=src python tests/golden.py --bless")
+    bless()

@@ -82,13 +82,12 @@ class TestEmbed:
         assert lengths == {token_length(7)}
 
     def test_batch_matches_single(self, rng):
-        Cs = np.stack([random_spd(rng, 5) for _ in range(6)])
+        # bit-identical whatever else shares the stack
+        Cs = np.stack([random_spd(rng, 22, kappa=10 ** rng.uniform(0, 4)) for _ in range(40)])
         for kind in EmbeddingKind:
             batch = embed_batch(Cs, kind)
-            for i in range(6):
-                assert np.allclose(batch[i], embed(Cs[i], kind), atol=1e-11)
-            # one-matrix stack: bit-identical to the single-matrix entry point
-            assert embed_batch(Cs[:1], kind)[0].tobytes() == embed(Cs[0], kind).tobytes()
+            for i in range(40):
+                assert batch[i].tobytes() == embed(Cs[i], kind).tobytes()
 
     def test_kind_accepts_string(self, rng):
         C = random_spd(rng, 3)

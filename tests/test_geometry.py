@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -65,17 +63,26 @@ class TestBwDistance:
         assert bw_distances_to(Cs[:1], ref)[0] == bw_distance(ref, Cs[0])
         assert bw_distance_pairs(ref[None], Cs[:1])[0] == bw_distance(ref, Cs[0])
 
-    def test_negative_bracket_warns_on_every_path(self, caplog):
-        # B is indefinite, so sqrt(A) B sqrt(A) keeps only its positive half
-        # and the bracket tr A + tr B - 2 tr(...) = 2 + 0 - 4 is far below zero
+    def test_indefinite_input_is_clipped_onto_the_cone(self):
+        # sqrt floors the eigenvalue -4 at the 1e-12 clip, as every token does
         A = np.eye(2)
         B = np.diag([4.0, -4.0])
-        for dist in (lambda: bw_distances_to(B[None], A),
-                     lambda: bw_distance_pairs(A[None], B[None])):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="spdtok.geometry"):
-                assert dist()[0] == 0.0
-            assert any("below zero" in r.getMessage() for r in caplog.records)
+        clipped = np.diag([4.0, 1e-12])
+        want = bw_distance(A, clipped)
+        assert bw_distance(A, B) == want
+        assert bw_distances_to(B[None], A)[0] == want
+        assert bw_distance_pairs(A[None], B[None])[0] == want
+
+    def test_pairs_match_scalar_bitwise(self, rng):
+        As = np.stack([random_spd(rng, 3, kappa=10 ** rng.uniform(0, 2)) for _ in range(200)])
+        Bs = np.stack([random_spd(rng, 3, kappa=10 ** rng.uniform(0, 2)) for _ in range(200)])
+        batch = bw_distance_pairs(As, Bs)
+        assert all(batch[i] == bw_distance(As[i], Bs[i]) for i in range(200))
+
+    def test_self_distance_has_no_cancellation_floor(self, rng):
+        As = np.stack([random_spd(rng, 4, kappa=10 ** rng.uniform(0, 2)) for _ in range(2000)])
+        scale = np.maximum(1.0, np.sqrt(np.trace(As, axis1=1, axis2=2)))
+        assert np.all(bw_distance_pairs(As, As) <= 1e-12 * scale)
 
 
 class TestLogEuclideanDistance:

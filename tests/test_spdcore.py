@@ -77,11 +77,23 @@ class TestEigSym:
         with pytest.raises(NonFinite):
             eig_sym(C)
 
-    def test_no_convergence(self, rng):
-        C = random_spd(rng, 8)
-        with pytest.raises(NoConvergence) as err:
-            eig_sym(C, max_sweeps=1)
-        assert err.value.residual is not None
+    def test_lapack_failure_raises_no_convergence(self, rng, monkeypatch):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            eig_sym(random_spd(rng, 8))
+        with pytest.raises(NoConvergence):
+            eig_sym_batch(np.stack([random_spd(rng, 3) for _ in range(2)]))
+
+    def test_batch_invariance_bitwise(self, rng):
+        Cs = np.stack([random_spd(rng, 22, kappa=10 ** rng.uniform(0, 4)) for _ in range(80)])
+        V, lam = eig_sym_batch(Cs)
+        for i in range(80):
+            eig = eig_sym(Cs[i])
+            assert eig.vectors.tobytes() == V[i].tobytes()
+            assert eig.values.tobytes() == lam[i].tobytes()
 
     def test_batch_matches_invariants(self, rng):
         Cs = np.stack([random_spd(rng, 5) for _ in range(7)])

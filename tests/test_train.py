@@ -177,6 +177,27 @@ class TestRunSingle:
 
 
 class TestTrainExperiment:
+    def test_geometric_bias_computed_once(self, monkeypatch):
+        from spdtok import network, train
+
+        calls = []
+        real = network.geometric_bias
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "geometric_bias", counting)
+        monkeypatch.setattr(train, "geometric_bias", counting)
+        spec = BandMixtureSpec(channels=4, trials_per_class=10, samples=256, seed=3)
+        exp = ExperimentConfig(
+            data=DataConfig(source="band_mixture", embedding="bwspd", multiband=True,
+                            band_mixture=spec.to_dict()),
+            model=dict(d_model=16, layers=1, heads=2, d_ff=16, attention="geometric"),
+            epochs=3, batch_size=8, seeds=(5,))
+        train_experiment(exp)
+        assert len(calls) == 1
+
     def test_summary_and_dirs(self, tmp_path):
         exp = small_exp(seeds=(5, 6))
         out = tmp_path / "exp"

@@ -1,8 +1,10 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
 
+from spdtok import autodiff as ad
 from spdtok.errors import InvalidSpec
 from spdtok.spdcore import LOG, dk_matrix
 from spdtok.verify import (
@@ -95,6 +97,27 @@ def test_micro_model_gradient_check_contract():
     assert res["param_checks"] == 10
     assert res["param_failures"] == 0
     assert res["input_path_ok"]
+
+
+@pytest.mark.parametrize("seed,pass_index", [(1, 25), (5, 76), (7, 32)])
+def test_micro_model_oracle_sound_across_relu_kinks(seed, pass_index):
+    # at these rngs a ReLU input sits within the finite-difference step of zero
+    rng = np.random.default_rng([seed, pass_index, zlib.crc32(b"micro_model")])
+    res = micro_model_gradient_check(rng)
+    assert res["param_checks"] == 50
+    assert res["param_failures"] == 0
+    assert res["input_path_ok"]
+
+
+def test_mutation_maskless_relu_backward_fails_micro_model(monkeypatch):
+    def maskless_relu(a):
+        a = ad.as_tensor(a)
+        return ad.Tensor(a.data * (a.data > 0), parents=(a,), backward=lambda g: (g,))
+
+    monkeypatch.setattr(ad, "relu", maskless_relu)
+    res = micro_model_gradient_check(np.random.default_rng(11))
+    assert res["param_failures"] > 0
+    assert not res["input_path_ok"]
 
 
 def test_bn_embed_slope_small():
