@@ -15,7 +15,8 @@ Layout (all integers little-endian):
 
 Round trips are bit-exact. Readers fail with TruncatedFile on any premature
 end of data, ChecksumMismatch when a payload fails its CRC, BadMagic /
-VersionUnsupported on header problems, and never return partial results.
+VersionUnsupported on header problems, ContainerError on an entry name or
+checkpoint header that does not decode, and never return partial results.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import zlib
 
 import numpy as np
 
-from .errors import BadMagic, ChecksumMismatch, TruncatedFile, VersionUnsupported
+from .errors import BadMagic, ChecksumMismatch, ContainerError, TruncatedFile, VersionUnsupported
 
 MAGIC = b"SPDT"
 VERSION = 1
@@ -79,7 +80,10 @@ def read_matrix_container(path_or_file) -> dict:
         out = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2))
-            name = _read_exact(f, name_len).decode("utf-8")
+            try:
+                name = _read_exact(f, name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ContainerError(f"entry name is not UTF-8: {err}") from err
             dtype_code, rank = struct.unpack("<BB", _read_exact(f, 2))
             if dtype_code != DTYPE_F64:
                 raise VersionUnsupported(f"dtype code {dtype_code}")
@@ -108,7 +112,10 @@ def load_checkpoint(path):
         line = f.readline()
         if not line.endswith(b"\n"):
             raise TruncatedFile("checkpoint header line missing newline")
-        header = json.loads(line.decode("utf-8"))
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as err:
+            raise ContainerError(f"checkpoint header is not UTF-8 JSON: {err}") from err
         arrays = read_matrix_container(f)
     return header, arrays
 

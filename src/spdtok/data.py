@@ -37,8 +37,8 @@ SPLIT_RATIOS = (0.70, 0.15, 0.15)
 # -- covariance and filtering ---------------------------------------------------
 
 
-def estimate_covariance(X: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """Sample covariance of a (channels, samples) segment with ridge term."""
+def estimate_covariance(X: np.ndarray) -> np.ndarray:
+    """Sample covariance of a (channels, samples) segment plus DEFAULT_RIDGE * I."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimMismatch(f"expected (channels, samples), got {X.shape}")
@@ -46,7 +46,7 @@ def estimate_covariance(X: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarr
     if n_s < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n_s}")
     centered = X - X.mean(axis=1, keepdims=True)
-    C = centered @ centered.T / (n_s - 1) + ridge * np.eye(n_ch)
+    C = centered @ centered.T / (n_s - 1) + DEFAULT_RIDGE * np.eye(n_ch)
     return sym(C)
 
 
@@ -255,8 +255,8 @@ class BandMixtureSpec:
         return cls(**d)
 
 
-def _spatial_pattern(rng, d, kappa=6.0):
-    return spectral_reconstruct(random_orthogonal(rng, d), np.geomspace(1.0, kappa, d), IDENTITY)
+def _spatial_pattern(rng, d):
+    return spectral_reconstruct(random_orthogonal(rng, d), np.geomspace(1.0, 6.0, d), IDENTITY)
 
 
 def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:

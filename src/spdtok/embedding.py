@@ -31,17 +31,15 @@ import numpy as np
 
 from . import spdcore
 from .errors import DimMismatch, NotSymmetric
-from .spdcore import CLIP_FLOOR, EXP, LOG, SQRT, eig_sym, sym
+from .spdcore import EXP, LOG, SQRT, eig_sym, sym
+
+SYMMETRY_RTOL = 1e-9
 
 
 class EmbeddingKind(str, Enum):
     BWSPD = "bwspd"
     LOG_EUCLIDEAN = "logeuclidean"
     EUCLIDEAN = "euclidean"
-
-    @property
-    def display(self) -> str:
-        return {"bwspd": "BWSPD", "logeuclidean": "LogEuclidean", "euclidean": "Euclidean"}[self.value]
 
 
 def token_length(d: int) -> int:
@@ -57,13 +55,14 @@ def vech_batch(Ms: np.ndarray) -> np.ndarray:
     return Ms[..., i, j]
 
 
-def vech(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Row-major upper-triangle packing of a symmetric matrix."""
+def vech(M: np.ndarray) -> np.ndarray:
+    """Row-major upper-triangle packing of a symmetric matrix; raises
+    NotSymmetric when max |M - M^T| exceeds SYMMETRY_RTOL * ||M||_F."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {M.shape}")
     asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if asym > rtol * max(np.linalg.norm(M), np.finfo(np.float64).tiny):
+    if asym > SYMMETRY_RTOL * max(np.linalg.norm(M), np.finfo(np.float64).tiny):
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
     return vech_batch(M)
 
@@ -81,39 +80,39 @@ def unvech(v: np.ndarray) -> np.ndarray:
     return M
 
 
-def embed(C: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR) -> np.ndarray:
+def embed(C: np.ndarray, kind: EmbeddingKind) -> np.ndarray:
     """Token vector of length d(d+1)/2 for one SPD matrix."""
-    return embed_batch(np.asarray(C, dtype=np.float64)[None], kind, clip)[0]
+    return embed_batch(np.asarray(C, dtype=np.float64)[None], kind)[0]
 
 
-def embed_batch(Cs: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR, *,
-                return_values: bool = False):
-    """Tokens for a (batch, d, d) stack; returns (batch, d(d+1)/2).
+def embed_batch(Cs: np.ndarray, kind: EmbeddingKind, *, return_values: bool = False):
+    """Tokens for a (batch, d, d) stack with d >= 1; returns (batch, d(d+1)/2).
 
-    With return_values, returns (tokens, eigenvalues) so callers can inspect
+    sqrt and log tokens floor the eigenvalues at spdcore.CLIP_FLOOR. With
+    return_values, returns (tokens, eigenvalues) so callers can inspect
     the spectra without a second decomposition; the flat embedding decomposes
     nothing and gives None.
     """
     kind = EmbeddingKind(kind)
     Cs = np.asarray(Cs, dtype=np.float64)
-    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2]:
-        raise DimMismatch(f"expected a (batch, d, d) stack, got shape {Cs.shape}")
+    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2] or Cs.shape[1] == 0:
+        raise DimMismatch(f"expected a (batch, d, d) stack with d >= 1, got shape {Cs.shape}")
     Cs = sym(Cs)
     values = None
     if kind is not EmbeddingKind.EUCLIDEAN:
         fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
         V, values = spdcore.eig_sym_batch(Cs)
-        Cs = spdcore.spectral_reconstruct(V, values, fn, clip)
+        Cs = spdcore.spectral_reconstruct(V, values, fn)
     tokens = vech_batch(Cs)
     return (tokens, values) if return_values else tokens
 
 
-def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR) -> np.ndarray:
+def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind) -> np.ndarray:
     """Rebuild the SPD matrices tokens came from (partial inverse of embed).
 
     Takes a (n, D) stack or one (D,) token. sqrt tokens are unpacked and
     squared; log tokens are unpacked and exponentiated; flat tokens are
-    unpacked directly (clipped to the SPD cone in every case).
+    unpacked directly and clipped to the SPD cone at spdcore.CLIP_FLOOR.
     """
     kind = EmbeddingKind(kind)
     tokens = np.asarray(tokens, dtype=np.float64)
@@ -123,7 +122,7 @@ def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_
     elif kind is EmbeddingKind.LOG_EUCLIDEAN:
         out = spdcore.spectral_apply_batch(M, EXP, clip=-np.inf)
     else:
-        out = spdcore.spectral_apply_batch(M, spdcore.IDENTITY, clip)
+        out = spdcore.spectral_apply_batch(M, spdcore.IDENTITY)
     return out if tokens.ndim > 1 else out[0]
 
 
@@ -139,8 +138,7 @@ def vech_adjoint(g: np.ndarray) -> np.ndarray:
     return half
 
 
-def embed_backward(C: np.ndarray, kind: EmbeddingKind, upstream: np.ndarray,
-                   clip: float = CLIP_FLOOR) -> np.ndarray:
+def embed_backward(C: np.ndarray, kind: EmbeddingKind, upstream: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. C of a scalar loss, given the token gradient.
 
     The vech adjoint turns the token gradient into a symmetric matrix, and the
@@ -157,4 +155,4 @@ def embed_backward(C: np.ndarray, kind: EmbeddingKind, upstream: np.ndarray,
     if kind is EmbeddingKind.EUCLIDEAN:
         return G
     fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
-    return spdcore.spectral_backward(eig_sym(C), fn, G, clip)
+    return spdcore.spectral_backward(eig_sym(C), fn, G)

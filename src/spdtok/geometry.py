@@ -39,6 +39,9 @@ from .embedding import vech_batch
 from .errors import DimMismatch, InvalidSpec, NoConvergence
 from .spdcore import SQRT, spectral_apply, spectral_apply_batch, sym
 
+DISTORTION_SLACK = 1e-9
+
+
 class DistanceKind(str, Enum):
     BURES_WASSERSTEIN = "bw"
     LOG_EUCLIDEAN = "logeuclidean"
@@ -145,11 +148,11 @@ class DispersionReport:
     sqrt_mean_gap: float
 
 
-def dispersion_report(Cs, max_iter: int = 200, tol: float = 1e-10) -> DispersionReport:
+def dispersion_report(Cs) -> DispersionReport:
     stack = np.asarray(Cs, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[0] < 2:
         raise InvalidSpec(f"need at least two matrices, got shape {stack.shape}")
-    mu = bw_barycenter(stack, max_iter=max_iter, tol=tol)
+    mu = bw_barycenter(stack)
     sq_mu = spectral_apply(mu, SQRT)
     dists = bw_distances_to(stack, mu)
     epsilon = float(np.max(dists) / np.linalg.norm(sq_mu))
@@ -180,14 +183,14 @@ class DistortionCheck:
                 & self.procrustes_ok & self.powers_stormer_ok & self.lipschitz_ok)
 
 
-def distortion_checks(As: np.ndarray, Bs: np.ndarray, kappa_bound=None,
-                      slack: float = 1e-9) -> DistortionCheck:
+def distortion_checks(As: np.ndarray, Bs: np.ndarray, kappa_bound=None) -> DistortionCheck:
     """Check every distance-preservation bound for aligned (n, d, d) stacks.
 
     kappa_bound is the caller's promise on lambda_max/lambda_min over both
     spectra of a pair (a scalar or one value per pair) and enters only the
     sqrt(2 (kappa+1)) lower-bound constant; None uses each pair's measured
     ratio. The derivative-based bound uses the actual smallest eigenvalue.
+    Every bound is checked with DISTORTION_SLACK of absolute slack.
     """
     Va, la = spdcore.eig_sym_batch(As)
     Vb, lb = spdcore.eig_sym_batch(Bs)
@@ -208,19 +211,18 @@ def distortion_checks(As: np.ndarray, Bs: np.ndarray, kappa_bound=None,
         token_distance=tok,
         bw=dbw,
         sqrt_diff_fro=sq_diff,
-        lower_ok=tok >= dbw / np.sqrt(2.0 * (kappa_bound + 1.0)) - slack,
-        upper_ok=tok <= sq_diff + slack,
-        sandwich_lower_ok=tok >= sq_diff / np.sqrt(2.0) - slack,
-        procrustes_ok=dbw <= sq_diff + slack,
-        powers_stormer_ok=sq_diff ** 2 <= trace_norm + slack,
-        lipschitz_ok=sq_diff <= fro_diff / (2.0 * np.sqrt(lam_min)) + slack,
-        ratio=np.divide(tok, dbw, out=np.ones_like(tok), where=dbw > slack),
+        lower_ok=tok >= dbw / np.sqrt(2.0 * (kappa_bound + 1.0)) - DISTORTION_SLACK,
+        upper_ok=tok <= sq_diff + DISTORTION_SLACK,
+        sandwich_lower_ok=tok >= sq_diff / np.sqrt(2.0) - DISTORTION_SLACK,
+        procrustes_ok=dbw <= sq_diff + DISTORTION_SLACK,
+        powers_stormer_ok=sq_diff ** 2 <= trace_norm + DISTORTION_SLACK,
+        lipschitz_ok=sq_diff <= fro_diff / (2.0 * np.sqrt(lam_min)) + DISTORTION_SLACK,
+        ratio=np.divide(tok, dbw, out=np.ones_like(tok), where=dbw > DISTORTION_SLACK),
     )
 
 
-def distortion_check(A: np.ndarray, B: np.ndarray, kappa_bound: float,
-                     slack: float = 1e-9) -> DistortionCheck:
+def distortion_check(A: np.ndarray, B: np.ndarray, kappa_bound: float) -> DistortionCheck:
     """distortion_checks for one pair of SPD matrices."""
     A, B = _check_pair(A, B)
-    batch = distortion_checks(A[None], B[None], kappa_bound, slack)
+    batch = distortion_checks(A[None], B[None], kappa_bound)
     return DistortionCheck(*(getattr(batch, f.name)[0].item() for f in fields(batch)))

@@ -145,11 +145,12 @@ class SpdTokenTransformer:
         return out
 
     def load_state_arrays(self, arrays: dict):
-        for name, t in self.params.items():
+        for name, own in self.state_arrays().items():
             if name not in arrays:
-                raise ShapeMismatch(f"checkpoint missing parameter {name}")
-            if arrays[name].shape != t.data.shape:
+                raise ShapeMismatch(f"checkpoint missing {name}")
+            if arrays[name].shape != own.shape:
                 raise ShapeMismatch(f"checkpoint shape {arrays[name].shape} for {name}")
+        for name, t in self.params.items():
             t.data = arrays[name].copy()
         self.running_mean = arrays["bn.running_mean"].copy()
         self.running_var = arrays["bn.running_var"].copy()
@@ -256,15 +257,3 @@ def geometric_bias(tokens: np.ndarray, kind) -> np.ndarray:
             bias[:, b, a] = dist
     return bias
 
-
-def predict_classes(model: SpdTokenTransformer, tokens: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Argmax labels in eval mode, streamed in batches."""
-    out = []
-    for start in range(0, tokens.shape[0], batch_size):
-        logits = model.forward(tokens[start:start + batch_size], training=False)
-        out.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=int)
-
-
-def accuracy(model: SpdTokenTransformer, tokens: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(predict_classes(model, tokens) == labels))

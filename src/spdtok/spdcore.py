@@ -40,10 +40,13 @@ No claim this package checks depends on the graded regime.
 
 Kernels and wrappers: `eig_sym_batch` is the one eigensolver entry point
 and `eig_sym` wraps it on a one-matrix stack. `spectral_reconstruct` is the
-one map from an eigendecomposition back to a matrix; `apply_from_eig`,
-`spectral_apply` and `spectral_apply_batch` wrap it. `near_degenerate` is the
-one test for the near-degeneracy branch, used by `dk_matrix` and by the
-tokeniser's branch diagnostics. Both work over any leading stack axes.
+one map from an eigendecomposition back to a matrix; `spectral_apply` and
+`spectral_apply_batch` wrap it. `near_degenerate` is the one test for the
+near-degeneracy branch, used by `dk_matrix` and by the tokeniser's branch
+diagnostics. Both work over any leading stack axes. The eigenvalue floor
+`CLIP_FLOOR` and the near-degeneracy tolerance `DEGENERACY_REL_TOL` are fixed
+constants; only the forward maps take another floor (0 for the synthetic
+anchors, -inf for `EXP`).
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ def eig_sym_batch(Cs: np.ndarray):
     the rest of the stack.
     """
     Cs = np.asarray(Cs, dtype=np.float64)
-    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2]:
-        raise DimMismatch(f"expected a (batch, d, d) stack, got shape {Cs.shape}")
+    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2] or Cs.shape[1] == 0:
+        raise DimMismatch(f"expected a (batch, d, d) stack with d >= 1, got shape {Cs.shape}")
     if not np.all(np.isfinite(Cs)):
         raise NonFinite("stack contains NaN or Inf")
     try:
@@ -153,14 +156,9 @@ def spectral_reconstruct(V: np.ndarray, values: np.ndarray, fn: SpectralFn,
     return sym((V * lam[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
-def apply_from_eig(eig: EigenPair, fn: SpectralFn, clip: float = CLIP_FLOOR) -> np.ndarray:
-    """f(C) reconstructed from a precomputed eigendecomposition."""
-    return spectral_reconstruct(eig.vectors, eig.values, fn, clip)
-
-
 def spectral_apply(C: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOOR) -> np.ndarray:
     """V diag(f(max(lambda, clip))) V^T, symmetrised."""
-    return apply_from_eig(eig_sym(C), fn, clip)
+    return spectral_reconstruct(*eig_sym(C), fn, clip)
 
 
 def spectral_apply_batch(Cs: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOOR) -> np.ndarray:
@@ -169,13 +167,14 @@ def spectral_apply_batch(Cs: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOO
     return spectral_reconstruct(V, vals, fn, clip)
 
 
-def near_degenerate(values: np.ndarray, tol: float = DEGENERACY_REL_TOL) -> np.ndarray:
-    """(..., d, d) mask of the pairs i < j with |l_i - l_j| < tol * max(l_i, l_j)
-    for (..., d) eigenvalues; False on and below the diagonal, so it counts pairs."""
+def near_degenerate(values: np.ndarray) -> np.ndarray:
+    """(..., d, d) mask of the pairs i < j with |l_i - l_j| <
+    DEGENERACY_REL_TOL * max(l_i, l_j) for (..., d) eigenvalues; False on and
+    below the diagonal, so it counts pairs."""
     lam = np.asarray(values, dtype=np.float64)
     li = lam[..., :, None]
     lj = lam[..., None, :]
-    return np.triu(np.abs(li - lj) < tol * np.maximum(li, lj), k=1)
+    return np.triu(np.abs(li - lj) < DEGENERACY_REL_TOL * np.maximum(li, lj), k=1)
 
 
 @dataclass(frozen=True)
@@ -207,13 +206,12 @@ class DkMatrix:
         return float(np.max(mags) / np.min(mags))
 
 
-def dk_matrix(values: np.ndarray, fn: SpectralFn,
-              degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> DkMatrix:
+def dk_matrix(values: np.ndarray, fn: SpectralFn) -> DkMatrix:
     """Daleckii-Krein matrix for the given eigenvalues.
 
     sqrt uses the cancellation-free form 1/(sqrt(l_i) + sqrt(l_j)) for every
     entry. log uses the direct quotient except when |l_i - l_j| <
-    degeneracy_rel_tol * max(l_i, l_j), where the two-term Taylor expansion
+    DEGENERACY_REL_TOL * max(l_i, l_j), where the two-term Taylor expansion
     1/l_i - (l_j - l_i)/(2 l_i^2) (anchored at the smaller index) takes over.
     identity is the all-ones matrix. The result is exactly symmetric.
     """
@@ -227,7 +225,7 @@ def dk_matrix(values: np.ndarray, fn: SpectralFn,
     if fn.name == "sqrt":
         K = 1.0 / (np.sqrt(li) + np.sqrt(lj))
         return DkMatrix(_mirror_upper(K), 0, pairs)
-    near = near_degenerate(lam, degeneracy_rel_tol)
+    near = near_degenerate(lam)
     if fn.name == "log":
         taylor = 1.0 / li - (lj - li) / (2.0 * li * li)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,12 +249,10 @@ def _mirror_upper(K: np.ndarray) -> np.ndarray:
     return U + U.T + np.diag(np.diag(K))
 
 
-def spectral_backward(eig: EigenPair, fn: SpectralFn, upstream: np.ndarray,
-                      clip: float = CLIP_FLOOR,
-                      degeneracy_rel_tol: float = DEGENERACY_REL_TOL) -> np.ndarray:
+def spectral_backward(eig: EigenPair, fn: SpectralFn, upstream: np.ndarray) -> np.ndarray:
     """Gradient of L w.r.t. C given the upstream gradient G = dL/df(C).
 
-    Computes V (K ∘ (V^T G V)) V^T with the clip floor applied to the
+    Computes V (K ∘ (V^T G V)) V^T with CLIP_FLOOR applied to the
     eigenvalues before building K, keeping forward and backward consistent at
     the clip boundary. The result is symmetrised.
     """
@@ -265,8 +261,8 @@ def spectral_backward(eig: EigenPair, fn: SpectralFn, upstream: np.ndarray,
     if G.shape != (d, d):
         raise DimMismatch(f"upstream shape {G.shape} does not match dim {d}")
     G = sym(G)
-    lam = np.maximum(eig.values, clip)
-    K = dk_matrix(lam, fn, degeneracy_rel_tol).entries
+    lam = np.maximum(eig.values, CLIP_FLOOR)
+    K = dk_matrix(lam, fn).entries
     V = eig.vectors
     inner = K * (V.T @ G @ V)
     return sym(V @ inner @ V.T)

@@ -29,16 +29,18 @@ from .train import DataConfig, ExperimentConfig
 ACCEPTANCE_SEEDS = (42, 123, 456, 789, 1024)
 
 SCALED_MODEL = dict(d_model=64, layers=4, heads=4, d_ff=128)
+TAIL_SLOTS = 4
 
 
 def tail_spectra(d: int, n_classes: int, common_lo: float, common_hi: float,
-                 t_small: float, t_big: float, tail: int = 4) -> tuple:
-    """Per-class spectra: a shared bulk plus one boosted tail slot per class."""
-    common = np.geomspace(common_hi, common_lo, d - tail)
+                 t_small: float, t_big: float) -> tuple:
+    """Per-class spectra: a shared bulk plus TAIL_SLOTS small tail eigenvalues,
+    of which class k boosts slot k mod TAIL_SLOTS."""
+    common = np.geomspace(common_hi, common_lo, d - TAIL_SLOTS)
     out = []
     for k in range(n_classes):
-        t = np.full(tail, t_small)
-        t[k % tail] = t_big
+        t = np.full(TAIL_SLOTS, t_small)
+        t[k % TAIL_SLOTS] = t_big
         out.append(tuple(np.concatenate([common, t])))
     return tuple(out)
 

@@ -44,6 +44,7 @@ from .spdcore import CLIP_FLOOR, near_degenerate
 from .stats import mean_std
 
 DEFAULT_SEEDS = (42, 123, 456, 789, 1024)
+EVAL_BATCH = 512
 
 
 @dataclass
@@ -126,7 +127,7 @@ class TokenDataset:
     meta: dict           # matrix dim, embedding, branch diagnostics
 
 
-def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FLOOR):
+def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind):
     """Tokens plus branch diagnostics for a stack of SPD matrices.
 
     The diagnostics count the eigenvalue pairs of the token spectra that fall
@@ -134,12 +135,12 @@ def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind, clip: float = CLIP_FL
     all embedded matrices; they reuse the tokeniser's eigenvalues.
     """
     kind = EmbeddingKind(kind)
-    tokens, values = embed_batch(Cs, kind, clip, return_values=True)
+    tokens, values = embed_batch(Cs, kind, return_values=True)
     n, d, _ = np.shape(Cs)
     pairs = n * d * (d - 1) // 2
     hits = 0
     if kind is EmbeddingKind.LOG_EUCLIDEAN:
-        hits = int(np.count_nonzero(near_degenerate(np.maximum(values, clip))))
+        hits = int(np.count_nonzero(near_degenerate(np.maximum(values, CLIP_FLOOR))))
     return tokens, {"taylor_hits": hits, "pairs": pairs,
                     "branch_fraction": hits / pairs if pairs else 0.0}
 
@@ -223,13 +224,14 @@ class RunReport:
         }
 
 
-def _evaluate(model, tokens, labels, batch_size=512, attn_bias=None):
-    """Mean loss and accuracy in eval mode; `attn_bias` holds the rows of the
-    precomputed geometric-attention bias that belong to `tokens`."""
+def _evaluate(model, tokens, labels, attn_bias=None):
+    """Mean loss and accuracy in eval mode, EVAL_BATCH samples per forward pass;
+    `attn_bias` holds the rows of the precomputed geometric-attention bias
+    that belong to `tokens`."""
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(labels), batch_size):
-        sl = slice(start, start + batch_size)
+    for start in range(0, len(labels), EVAL_BATCH):
+        sl = slice(start, start + EVAL_BATCH)
         bias = attn_bias[sl] if attn_bias is not None else None
         logits = model.forward(tokens[sl], training=False, attn_bias=bias)
         loss = ad.cross_entropy(logits, labels[sl])

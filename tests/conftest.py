@@ -1,15 +1,7 @@
-import os
-import sys
-
 import numpy as np
 import pytest
 
-try:
-    import spdtok  # noqa: F401
-except ImportError:  # running from a checkout without installing
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from spdtok.spdcore import random_orthogonal  # noqa: E402
+from spdtok.spdcore import random_orthogonal
 
 
 @pytest.fixture

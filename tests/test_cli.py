@@ -170,16 +170,23 @@ class TestCliMain:
         assert "error:" in capsys.readouterr().err
 
     def test_cross_process_reproducibility(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import spdtok
+
+        # the child imports the same spdtok as this process, installed or not
+        src = os.path.dirname(os.path.dirname(spdtok.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(tiny_exp(seeds=(11,)).to_dict()))
         for sub in ("a", "b"):
             proc = subprocess.run(
                 [sys.executable, "-m", "spdtok.cli", "train",
                  "--config", str(cfg_path), "--out", str(tmp_path / sub)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         blob_a = (tmp_path / "a" / "seed11" / "metrics.json").read_bytes()
         blob_b = (tmp_path / "b" / "seed11" / "metrics.json").read_bytes()

@@ -11,7 +11,13 @@ from spdtok.container import (
     save_checkpoint,
     write_matrix_container,
 )
-from spdtok.errors import BadMagic, ChecksumMismatch, TruncatedFile, VersionUnsupported
+from spdtok.errors import (
+    BadMagic,
+    ChecksumMismatch,
+    ContainerError,
+    TruncatedFile,
+    VersionUnsupported,
+)
 
 
 def test_round_trip_bit_exact(rng, tmp_path):
@@ -76,6 +82,22 @@ def test_checksum_mismatch(rng):
     blob[-6] ^= 0xFF  # flip a payload byte, keep the stored CRC
     with pytest.raises(ChecksumMismatch):
         read_matrix_container(io.BytesIO(bytes(blob)))
+
+
+def test_non_utf8_entry_name(rng):
+    blob = bytearray(container_bytes({"a": rng.standard_normal(3)}))
+    blob[4 + 4 + 4 + 2] = 0xFF  # the one-byte name; 0xFF never occurs in UTF-8
+    with pytest.raises(ContainerError):
+        read_matrix_container(io.BytesIO(bytes(blob)))
+
+
+@pytest.mark.parametrize("line", [b"{not json\n", b"\xff\xfe\n"])
+def test_corrupt_checkpoint_header(tmp_path, line):
+    path = tmp_path / "model.spdt"
+    save_checkpoint(path, {"kind": "demo"}, {"w": np.ones(2)})
+    path.write_bytes(line + path.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(ContainerError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_header_round_trip(rng, tmp_path):

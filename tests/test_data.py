@@ -23,13 +23,13 @@ from spdtok.spdcore import eig_sym
 class TestEstimateCovariance:
     def test_constant_channels_give_ridge_identity(self):
         X = np.ones((3, 50)) * np.array([[1.0], [2.0], [-4.0]])
-        C = estimate_covariance(X, ridge=1e-6)
+        C = estimate_covariance(X)
         assert np.allclose(C, 1e-6 * np.eye(3), atol=1e-18)
 
     def test_hand_computed_two_samples(self):
         # de-meaned rows are [1, -1]; divisor T-1 = 1 -> all entries 2
         X = np.array([[1.0, -1.0], [1.0, -1.0]])
-        C = estimate_covariance(X, ridge=1e-6)
+        C = estimate_covariance(X)
         assert np.allclose(C, np.array([[2.0, 2.0], [2.0, 2.0]]) + 1e-6 * np.eye(2))
 
     def test_white_noise_concentrates(self, rng):
@@ -41,7 +41,7 @@ class TestEstimateCovariance:
 
     def test_spd_invariants(self, rng):
         X = rng.standard_normal((5, 40))
-        C = estimate_covariance(X, ridge=1e-6)
+        C = estimate_covariance(X)
         assert np.array_equal(C, C.T)
         assert eig_sym(C).values.min() >= 1e-6 - 1e-12
 

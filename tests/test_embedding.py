@@ -89,6 +89,11 @@ class TestEmbed:
             for i in range(40):
                 assert batch[i].tobytes() == embed(Cs[i], kind).tobytes()
 
+    @pytest.mark.parametrize("kind", list(EmbeddingKind))
+    def test_empty_matrices_rejected(self, kind):
+        with pytest.raises(DimMismatch):
+            embed_batch(np.zeros((2, 0, 0)), kind)
+
     def test_kind_accepts_string(self, rng):
         C = random_spd(rng, 3)
         assert np.array_equal(embed(C, "euclidean"), embed(C, EmbeddingKind.EUCLIDEAN))

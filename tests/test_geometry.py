@@ -5,6 +5,7 @@ from spdtok.embedding import embed, unvech
 from spdtok.errors import DimMismatch, InvalidSpec, NoConvergence
 from spdtok.geometry import (
     DistanceKind,
+    barycenter_map,
     bw_barycenter,
     bw_distance,
     bw_distance_pairs,
@@ -156,6 +157,17 @@ class TestBarycenter:
             bw_barycenter(Cs, max_iter=1, tol=1e-15)
         assert err.value.last is not None
         assert err.value.residual > 0
+
+    def test_no_convergence_at_default_tol(self, rng):
+        # spread scales and spectra: one step cannot meet the default 1e-10 tolerance
+        Cs = np.stack([random_spd(rng, 4, kappa=100, scale=s) for s in (0.1, 1.0, 10.0)])
+        with pytest.raises(NoConvergence) as err:
+            bw_barycenter(Cs, max_iter=1)
+        mu0 = sym(np.mean(Cs, axis=0))
+        mu1 = barycenter_map(mu0, Cs)
+        assert np.array_equal(err.value.last, mu1)
+        assert err.value.residual == float(np.linalg.norm(mu0 - mu1))
+        assert err.value.residual > 1e-10 * np.linalg.norm(mu0)
 
 
 class TestDispersionReport:

@@ -1,6 +1,48 @@
+import glob
+import json
+import os
+
 import pytest
 
-from golden import fingerprint, load_manifest, metrics_hashes
+from golden import ROOT, fingerprint, load_manifest, metrics_hashes
+from spdtok import tasks
+from spdtok.train import ExperimentConfig
+
+# configs/<name>.json -> the task builder it reproduces; the manifest hashes
+# the builder's run, so each file need only equal its twin
+CONFIG_TWINS = {
+    "learning_sanity": lambda: tasks.learning_sanity_experiment("logeuclidean"),
+    "geometry_gap_logeuclidean": lambda: tasks.geometry_gap_experiment("logeuclidean"),
+    "band_mixture_multiband": lambda: tasks.band_mixture_experiment(True),
+}
+
+
+def config_mismatches(paths) -> list:
+    """Names of the config files with no builder twin or a different experiment."""
+    def canonical(exp):
+        return json.dumps(exp.to_dict(), sort_keys=True)
+
+    bad = []
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        twin = CONFIG_TWINS.get(name)
+        if twin is None or canonical(ExperimentConfig.from_json_file(path)) != canonical(twin()):
+            bad.append(name)
+    return bad
+
+
+def test_every_config_equals_its_builder():
+    paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+    assert paths
+    assert config_mismatches(paths) == []
+
+
+def test_config_without_builder_twin_fails(tmp_path):
+    bwspd = json.dumps(tasks.learning_sanity_experiment("bwspd").to_dict())
+    (tmp_path / "stray.json").write_text(bwspd)
+    (tmp_path / "learning_sanity.json").write_text(bwspd)
+    paths = [str(tmp_path / "stray.json"), str(tmp_path / "learning_sanity.json")]
+    assert config_mismatches(paths) == ["stray", "learning_sanity"]
 
 
 def test_metrics_json_matches_golden_manifest():

@@ -9,7 +9,6 @@ from spdtok.geometry import bw_distance
 from spdtok.network import (
     ModelConfig,
     SpdTokenTransformer,
-    accuracy,
     geometric_bias,
     scaled_down,
 )
@@ -146,6 +145,16 @@ class TestForward:
         other.load_state_arrays(state)
         toks = rng.standard_normal((3, 1, 10))
         assert np.array_equal(m.forward(toks).data, other.forward(toks).data)
+
+    @pytest.mark.parametrize("missing", ["bn.running_mean", "bn.running_var"])
+    def test_checkpoint_without_running_statistic(self, missing):
+        state = micro_model().state_arrays()
+        state["proj.W"] += 1.0
+        del state[missing]
+        m = micro_model()
+        with pytest.raises(ShapeMismatch):
+            m.load_state_arrays(state)
+        assert np.array_equal(m.params["proj.W"].data, micro_model().params["proj.W"].data)
 
 
 class TestBnEmbed:
@@ -330,11 +339,3 @@ def _pad_first_row(t, extra_rows):
 
     padded = np.concatenate([t.data, np.zeros((extra_rows,) + t.data.shape[1:])], axis=0)
     return ad.Tensor(padded, parents=(t,), backward=backward)
-
-
-def test_accuracy_helper(rng):
-    m = micro_model()
-    toks = rng.standard_normal((10, 1, 10))
-    labels = rng.integers(0, 3, 10)
-    acc = accuracy(m, toks, labels)
-    assert 0.0 <= acc <= 1.0

@@ -87,6 +87,13 @@ class TestEigSym:
         with pytest.raises(NoConvergence):
             eig_sym_batch(np.stack([random_spd(rng, 3) for _ in range(2)]))
 
+    def test_empty_matrices_rejected(self):
+        # a 0 x 0 matrix has no eigenpair to put in canonical form
+        with pytest.raises(DimMismatch):
+            eig_sym_batch(np.zeros((2, 0, 0)))
+        with pytest.raises(DimMismatch):
+            eig_sym(np.zeros((0, 0)))
+
     def test_batch_invariance_bitwise(self, rng):
         Cs = np.stack([random_spd(rng, 22, kappa=10 ** rng.uniform(0, 4)) for _ in range(80)])
         V, lam = eig_sym_batch(Cs)
