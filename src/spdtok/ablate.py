@@ -31,6 +31,9 @@ def _variants(exp: ExperimentConfig, axis: str):
     if axis == "heads":
         return [(f"heads{H}", with_model(exp, heads=H)) for H in (4, 8, 16)]
     if axis == "attention":
+        if not exp.data.multiband:
+            raise InvalidSpec("attention axis needs multi-token data (multiband); at T = 1 "
+                              "geometric and standard attention are the same model")
         return [("standard", with_model(exp, attention="standard")),
                 ("geometric", with_model(exp, attention="geometric"))]
     if axis == "bands":

@@ -14,15 +14,19 @@ Layout (all integers little-endian):
         crc32    u32  of the payload bytes
 
 Round trips are bit-exact. Readers fail with TruncatedFile on any premature
-end of data, ChecksumMismatch when a payload fails its CRC, BadMagic /
-VersionUnsupported on header problems, ContainerError on an entry name or
-checkpoint header that does not decode, and never return partial results.
+end of data, including dims that declare more payload than the file has left
+(checked before the payload is read, so the reader needs a seekable file),
+ChecksumMismatch when a payload fails its CRC, BadMagic / VersionUnsupported
+on header problems, ContainerError on an entry name or checkpoint header that
+does not decode or on an entry name that repeats, and never return partial
+results.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zlib
 
@@ -40,6 +44,13 @@ def _read_exact(f, n: int) -> bytes:
     if len(buf) != n:
         raise TruncatedFile(f"needed {n} bytes, got {len(buf)}")
     return buf
+
+
+def _bytes_left(f) -> int:
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
 
 
 def write_matrix_container(path_or_file, tensors: dict) -> None:
@@ -84,12 +95,17 @@ def read_matrix_container(path_or_file) -> dict:
                 name = _read_exact(f, name_len).decode("utf-8")
             except UnicodeDecodeError as err:
                 raise ContainerError(f"entry name is not UTF-8: {err}") from err
+            if name in out:
+                raise ContainerError(f"duplicate entry name {name!r}")
             dtype_code, rank = struct.unpack("<BB", _read_exact(f, 2))
             if dtype_code != DTYPE_F64:
                 raise VersionUnsupported(f"dtype code {dtype_code}")
             dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank)) if rank else ()
-            n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            payload = _read_exact(f, 8 * n_items)
+            n_bytes, left = 8 * math.prod(dims), _bytes_left(f)
+            if n_bytes > left:
+                raise TruncatedFile(f"entry {name!r} with dims {dims} needs {n_bytes} "
+                                    f"payload bytes, {left} left")
+            payload = _read_exact(f, n_bytes)
             (crc,) = struct.unpack("<I", _read_exact(f, 4))
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
                 raise ChecksumMismatch(f"entry {name!r}")

@@ -15,6 +15,12 @@ from the tokens:
 The distance term depends only on the input tokens, never on parameters, so
 it enters the graph as a constant bias; alpha = 0 reproduces the standard
 path bit for bit.
+
+With a single token (T = 1) softmax over one key is exactly 1 in both modes,
+so attention is exactly the value-output projection Wo(Wv h + bv) + bo. The
+block computes only that: Q/K are never applied and get no gradient (their
+`grad` stays None, so Adam skips them), yet they stay in the parameter dict,
+so checkpoints and parameter counts do not depend on T.
 """
 
 from __future__ import annotations
@@ -220,6 +226,9 @@ class SpdTokenTransformer:
         c = self.config
         p = self.params
         batch, T, _ = h.data.shape
+        if T == 1:  # softmax over one key is exactly 1 (see the module docstring)
+            v = ad.linear(h, p[f"enc{i}.attn.Wv"], p[f"enc{i}.attn.bv"])
+            return ad.linear(v, p[f"enc{i}.attn.Wo"], p[f"enc{i}.attn.bo"])
         dk = c.d_model // c.heads
 
         def heads(t):
@@ -244,9 +253,12 @@ class SpdTokenTransformer:
 
 def geometric_bias(tokens: np.ndarray, kind) -> np.ndarray:
     """(batch, T, T) matrix of transport distances between the SPD matrices
-    reconstructed from each sample's tokens; zero on the diagonal."""
+    reconstructed from each sample's tokens; zero on the diagonal, so all
+    zero at T = 1, where no matrix is reconstructed."""
     tokens = np.asarray(tokens, dtype=np.float64)
     batch, T, D = tokens.shape
+    if T == 1:
+        return np.zeros((batch, 1, 1))
     Cs = reconstruct_spd(tokens.reshape(batch * T, D), kind)
     Cs = Cs.reshape(batch, T, *Cs.shape[-2:])
     bias = np.zeros((batch, T, T))

@@ -61,8 +61,18 @@ class TestAblate:
         assert [r["variant"] for r in table["rows"]] == ["multiband_T3", "single_T1"]
 
     def test_attention_axis_runs(self):
-        table = run_ablation(tiny_exp(seeds=(3,)), "attention")
+        exp = ExperimentConfig(
+            data=DataConfig(source="band_mixture", embedding="bwspd", multiband=True,
+                            band_mixture=dict(trials_per_class=8, samples=256, seed=1)),
+            model=dict(d_model=16, layers=1, heads=2, d_ff=16, dropout=0.0),
+            epochs=1, batch_size=8, seeds=(3,),
+        )
+        table = run_ablation(exp, "attention")
         assert [r["variant"] for r in table["rows"]] == ["standard", "geometric"]
+
+    def test_attention_axis_needs_multiple_tokens(self):
+        with pytest.raises(InvalidSpec, match="attention axis"):
+            run_ablation(tiny_exp(seeds=(3,)), "attention")
 
     def test_unknown_axis(self):
         with pytest.raises(InvalidSpec):

@@ -108,3 +108,28 @@ def test_checkpoint_header_round_trip(rng, tmp_path):
     back_header, back_arrays = load_checkpoint(path)
     assert back_header == header
     assert all(np.array_equal(arrays[k], back_arrays[k]) for k in arrays)
+
+
+def _entry_with_dims(name: bytes, dims) -> bytes:
+    """One entry header declaring `dims`, an empty payload and the CRC of b""."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<BB", 0, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + struct.pack("<I", 0))
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 31, 2 ** 31, 4)])
+def test_declared_dims_beyond_remaining_bytes(tmp_path, dims):
+    # an int64 product of the first two dims wraps to 0 items, which the CRC
+    # of an empty payload would accept
+    blob = b"SPDT" + struct.pack("<II", 1, 1) + _entry_with_dims(b"huge", dims)
+    path = tmp_path / "huge.spdt"
+    path.write_bytes(blob)
+    for source in (path, io.BytesIO(blob)):
+        with pytest.raises(TruncatedFile, match="huge"):
+            read_matrix_container(source)
+
+
+def test_duplicate_entry_name(rng):
+    entry = container_bytes({"a": rng.standard_normal(3)})[12:]
+    blob = b"SPDT" + struct.pack("<II", 1, 2) + entry + entry
+    with pytest.raises(ContainerError, match="duplicate entry name 'a'"):
+        read_matrix_container(io.BytesIO(blob))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spdtok import autodiff as ad
+from spdtok import network
 from spdtok.autodiff import Tensor
 from spdtok.embedding import EmbeddingKind, embed, embed_backward
 from spdtok.errors import DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch
@@ -226,6 +227,55 @@ class TestGeometricAttention:
         assert np.all(np.isfinite(logits.data))
 
 
+class TestSingleTokenAttention:
+    @staticmethod
+    def train_step(m, toks, labels):
+        m.zero_grad()
+        ad.cross_entropy(m.forward(toks, training=True), labels).backward()
+
+    @pytest.mark.parametrize("attention", ["standard", "geometric"])
+    def test_t1_attention_is_value_output_projection(self, rng, monkeypatch, attention):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("attention scores computed for a single token")
+
+        monkeypatch.setattr(ad, "softmax", forbidden)
+        monkeypatch.setattr(ad, "bmm", forbidden)
+        monkeypatch.setattr(network, "reconstruct_spd", forbidden)
+        m = micro_model(attention=attention)
+        self.train_step(m, rng.standard_normal((6, 1, 10)), rng.integers(0, 3, 6))
+        for i in range(m.config.layers):
+            for name in ("Wq", "bq", "Wk", "bk"):
+                assert m.params[f"enc{i}.attn.{name}"].grad is None, (i, name)
+            for name in ("Wv", "bv", "Wo", "bo"):
+                assert m.params[f"enc{i}.attn.{name}"].grad is not None, (i, name)
+        assert np.array_equal(geometric_bias(rng.standard_normal((5, 1, 10)),
+                                             EmbeddingKind.BWSPD), np.zeros((5, 1, 1)))
+
+    @pytest.mark.parametrize("attention", ["standard", "geometric"])
+    def test_t3_attention_computes_scores(self, rng, monkeypatch, attention):
+        calls = {"softmax": 0, "bmm": 0}
+
+        def counted(name):
+            real = getattr(ad, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ad, name, counted(name))
+        Cs = np.stack([random_spd(rng, 4) for _ in range(6 * 3)])
+        toks = np.stack([embed(C, EmbeddingKind.BWSPD) for C in Cs]).reshape(6, 3, 10)
+        m = micro_model(attention=attention, seq_len=3)
+        self.train_step(m, toks, rng.integers(0, 3, 6))
+        layers = m.config.layers
+        assert calls == {"softmax": layers, "bmm": 2 * layers}
+        for i in range(layers):
+            for name in ("Wq", "bq", "Wk", "bk"):
+                assert m.params[f"enc{i}.attn.{name}"].grad is not None, (i, name)
+
+
 class TestAdam:
     def test_matches_scalar_reference(self, rng):
         # independent scalar reference implementing the textbook update
@@ -292,7 +342,9 @@ class TestEndToEndGradients:
                 lo = loss_value()
                 p.data[idx] = old
                 num = (hi - lo) / (2 * h)
-                got = p.grad[idx]
+                # at T = 1 Q/K are off the tape: no grad, and exactly 0 by
+                # finite differences
+                got = p.grad[idx] if p.grad is not None else 0.0
                 assert abs(got - num) <= max(1e-4, 1e-2 * abs(got)), name
                 checked += 1
         assert checked >= 50
