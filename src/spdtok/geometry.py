@@ -13,11 +13,13 @@ negative. The square roots come from spdcore with eigenvalues floored at the
 SPD cone, the convention every sqrt and log token follows. The tangent-space
 distance is ||log A - log B||_F and the flat distance is ||A - B||_F.
 
-Kernels and wrappers: `_bw_from_sqrts` is the one transport-distance kernel,
-from a pair of square-root stacks. `bw_distance_pairs` (aligned stacks),
-`bw_distances_to` (one reference, square-rooted once) and `bw_distance` (one
-pair) wrap it. `distortion_checks` is the batched distortion-bound kernel and
-`distortion_check` its one-pair wrapper.
+Kernels and wrappers: `distance_pairs` is the one distance kernel, for every
+`DistanceKind` on aligned (n, d, d) stacks, and a row's bits do not depend on
+the rest of its stack; `distance`, `bw_distance` and `logeuclidean_distance`
+wrap it for one pair. `_bw_from_sqrts` turns square roots into transport
+distances for `bw_distance_pairs` (its BW branch), `bw_distances_to` and
+`dispersion_report`. `distortion_checks` is the batched distortion-bound
+kernel and `distortion_check` its one-pair wrapper.
 
 The barycenter solves the fixed-point equation
 
@@ -37,7 +39,7 @@ import numpy as np
 from . import spdcore
 from .embedding import vech_batch
 from .errors import DimMismatch, InvalidSpec, NoConvergence
-from .spdcore import SQRT, spectral_apply, spectral_apply_batch, sym
+from .spdcore import LOG, SQRT, spectral_apply, spectral_apply_batch, sym
 
 DISTORTION_SLACK = 1e-9
 
@@ -48,10 +50,11 @@ class DistanceKind(str, Enum):
     FROBENIUS = "frobenius"
 
 
-def _check_pair(A, B):
+def _check_pair(A, B, ndim=2):
+    """A and B as float64 arrays of one shape: ndim - 2 stack axes over square matrices."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.shape != B.shape or A.ndim != ndim or A.shape[-1] != A.shape[-2]:
         raise DimMismatch(f"incompatible shapes {A.shape} and {B.shape}")
     return A, B
 
@@ -65,8 +68,7 @@ def _bw_from_sqrts(sqAs: np.ndarray, sqBs: np.ndarray) -> np.ndarray:
 
 
 def bw_distance(A: np.ndarray, B: np.ndarray) -> float:
-    A, B = _check_pair(A, B)
-    return float(bw_distance_pairs(A[None], B[None])[0])
+    return distance(A, B, DistanceKind.BURES_WASSERSTEIN)
 
 
 def bw_distances_to(Cs: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -76,30 +78,32 @@ def bw_distances_to(Cs: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def bw_distance_pairs(As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
     """Elementwise d_bw(A_i, B_i) for two aligned (n, d, d) stacks."""
-    As = np.asarray(As, dtype=np.float64)
-    Bs = np.asarray(Bs, dtype=np.float64)
-    if As.shape != Bs.shape or As.ndim != 3:
-        raise DimMismatch(f"incompatible stacks {As.shape} and {Bs.shape}")
+    As, Bs = _check_pair(As, Bs, ndim=3)
     return _bw_from_sqrts(spectral_apply_batch(As, SQRT), spectral_apply_batch(Bs, SQRT))
 
 
+def distance_pairs(As: np.ndarray, Bs: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """Elementwise distance of the given kind for two aligned (n, d, d) stacks.
+    A flat row's norm is sqrt(f . f), the dot product np.linalg.norm takes for
+    one matrix, so each row has the bits of its pair computed alone."""
+    kind = DistanceKind(kind)
+    if kind is DistanceKind.BURES_WASSERSTEIN:
+        return bw_distance_pairs(As, Bs)
+    As, Bs = _check_pair(As, Bs, ndim=3)
+    if kind is DistanceKind.LOG_EUCLIDEAN:
+        As, Bs = spectral_apply_batch(As, LOG), spectral_apply_batch(Bs, LOG)
+    f = (As - Bs).reshape(len(As), -1)
+    return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
+
+
 def logeuclidean_distance(A: np.ndarray, B: np.ndarray) -> float:
-    A, B = _check_pair(A, B)
-    return float(np.linalg.norm(spectral_apply(A, spdcore.LOG) - spectral_apply(B, spdcore.LOG)))
-
-
-def frobenius_distance(A: np.ndarray, B: np.ndarray) -> float:
-    A, B = _check_pair(A, B)
-    return float(np.linalg.norm(A - B))
+    return distance(A, B, DistanceKind.LOG_EUCLIDEAN)
 
 
 def distance(A: np.ndarray, B: np.ndarray, kind: DistanceKind) -> float:
-    kind = DistanceKind(kind)
-    if kind is DistanceKind.BURES_WASSERSTEIN:
-        return bw_distance(A, B)
-    if kind is DistanceKind.LOG_EUCLIDEAN:
-        return logeuclidean_distance(A, B)
-    return frobenius_distance(A, B)
+    """distance_pairs for one pair."""
+    A, B = _check_pair(A, B)
+    return float(distance_pairs(A[None], B[None], kind)[0])
 
 
 def barycenter_map(mu: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -154,10 +158,9 @@ def dispersion_report(Cs) -> DispersionReport:
         raise InvalidSpec(f"need at least two matrices, got shape {stack.shape}")
     mu = bw_barycenter(stack)
     sq_mu = spectral_apply(mu, SQRT)
-    dists = bw_distances_to(stack, mu)
-    epsilon = float(np.max(dists) / np.linalg.norm(sq_mu))
-    mean_sqrt = np.mean(spectral_apply_batch(stack, SQRT), axis=0)
-    gap = float(np.linalg.norm(sq_mu - mean_sqrt))
+    sq_stack = spectral_apply_batch(stack, SQRT)
+    epsilon = float(np.max(_bw_from_sqrts(sq_mu, sq_stack)) / np.linalg.norm(sq_mu))
+    gap = float(np.linalg.norm(sq_mu - np.mean(sq_stack, axis=0)))
     return DispersionReport(barycenter=mu, epsilon=epsilon, sqrt_mean_gap=gap)
 
 

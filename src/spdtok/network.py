@@ -74,13 +74,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def scaled_down(d_token: int, n_classes: int, **overrides) -> ModelConfig:
-    """Small-capacity variant for low-dimensional tokens."""
-    base = dict(d_token=d_token, n_classes=n_classes, d_model=64, layers=4, heads=4, d_ff=128)
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
 def _glorot(rng, fan_in, fan_out):
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, (fan_in, fan_out))

@@ -165,6 +165,8 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
     else:
         packed = read_matrix_container(data_cfg.container_path)
         if "matrices" in packed:
+            if data_cfg.multiband:
+                raise InvalidSpec("multi-band tokens need segments; this container holds matrices")
             return _matrix_token_dataset(packed["matrices"],
                                          packed["labels"].astype(np.int64), kind)
         batch = SegmentBatch(packed["segments"], packed["labels"].astype(np.int64),

@@ -9,6 +9,10 @@ gradient agreement, barycenter fixed-point behaviour, the second-order decay
 of the sqrt-space mean gap, eigenvalue-pair counting with the near-degeneracy
 branch fraction, and bitwise determinism.
 
+Suites draw their inputs as stacks, one batched call per dimension (`metrics`
+checks all three distances on one shared draw); only the gradient suites go
+one matrix at a time, as no batched backward kernel exists.
+
 Every suite returns PropertyResult records carrying the measured quantities,
 so the JSON summary documents not just pass/fail but the observed margins.
 """
@@ -25,15 +29,16 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry, spdcore
 from .data import SynthSpec, synth_dataset
-from .embedding import EmbeddingKind, embed, embed_backward, reconstruct_spd, vech
+from .embedding import (EmbeddingKind, embed, embed_backward, embed_batch, reconstruct_spd, vech,
+                        vech_batch)
 from .errors import InvalidSpec
 from .geometry import (
     DistanceKind,
     barycenter_map,
     bw_barycenter,
-    bw_distance,
+    bw_distance_pairs,
     dispersion_report,
-    distance,
+    distance_pairs,
 )
 from .network import ModelConfig, SpdTokenTransformer
 from .spdcore import (
@@ -42,10 +47,12 @@ from .spdcore import (
     SQRT,
     dk_matrix,
     eig_sym,
+    eig_sym_batch,
     random_orthogonal,
-    spectral_apply,
+    spectral_apply_batch,
     spectral_backward,
     spectral_reconstruct,
+    sym,
 )
 from .stats import loglog_slope
 
@@ -70,47 +77,49 @@ def _fmt(v):
 
 
 def _random_spd_stack(rng, n, d, kappa_max):
-    """Stack of SPD matrices, each with its own condition ratio <= kappa_max."""
-    mats = np.empty((n, d, d))
+    """(n, d, d) SPD stack, d >= 2, each matrix with its own condition ratio
+    <= kappa_max; the draws come matrix by matrix, the products in one call."""
+    Qs = np.empty((n, d, d))
+    lams = np.empty((n, d))
     for i in range(n):
-        kappa = 10 ** rng.uniform(0.0, np.log10(kappa_max)) if d > 1 else 1.0
-        Q = random_orthogonal(rng, d)
-        if d == 1:
-            lam = np.array([1.0])
-        else:
-            lam = np.concatenate([[1.0, kappa], np.exp(rng.uniform(0, np.log(kappa), d - 2))])
-        mats[i] = spectral_reconstruct(Q, lam, IDENTITY)
-    return mats
+        kappa = 10 ** rng.uniform(0.0, np.log10(kappa_max))
+        Qs[i] = random_orthogonal(rng, d)
+        lams[i] = np.concatenate([[1.0, kappa], np.exp(rng.uniform(0, np.log(kappa), d - 2))])
+    return spectral_reconstruct(Qs, lams, IDENTITY)
 
 
-def _random_symmetric(rng, d):
-    M = rng.standard_normal((d, d))
-    return 0.5 * (M + M.T)
+def _random_symmetric(rng, d, *lead):
+    return sym(rng.standard_normal((*lead, d, d)))
+
+
+def _dim_groups(rng, n, lo, hi):
+    """n dimensions drawn from [lo, hi) up front, as (d, count) pairs by rising d."""
+    dims, counts = np.unique(rng.integers(lo, hi, n), return_counts=True)
+    return zip(dims.tolist(), counts.tolist())
+
+
+def _fro(Ms):
+    return np.linalg.norm(Ms, axis=(-2, -1))
 
 
 # -- suites ----------------------------------------------------------------------
 
 
 def suite_norm_equivalence(rng, trials=300) -> list:
-    worst_lo = np.inf
-    worst_hi = np.inf
-    ok = True
-    for _ in range(trials):
-        d = int(rng.integers(2, 12))
-        M = _random_symmetric(rng, d)
-        fro = np.linalg.norm(M)
-        tok = np.linalg.norm(vech(M))
-        lo_margin = tok - fro / np.sqrt(2.0)
-        hi_margin = fro - tok
-        worst_lo = min(worst_lo, lo_margin)
-        worst_hi = min(worst_hi, hi_margin)
-        ok = ok and lo_margin >= -1e-12 and hi_margin >= -1e-12
+    margins = []
+    for d, n in _dim_groups(rng, trials, 2, 12):
+        M = _random_symmetric(rng, d, n)
+        fro = _fro(M)
+        tok = np.linalg.norm(vech_batch(M), axis=1)
+        margins.append((np.min(tok - fro / np.sqrt(2.0)), np.min(fro - tok)))
+    worst_lo, worst_hi = np.min(margins, axis=0)
+    ok = worst_lo >= -1e-12 and worst_hi >= -1e-12
     diag = np.diag([1.0, 2.0, 3.0])
     tight_hi = abs(np.linalg.norm(vech(diag)) - np.linalg.norm(diag)) <= 1e-12
     hollow = np.array([[0.0, 2.0], [2.0, 0.0]])
     tight_lo = abs(np.linalg.norm(vech(hollow)) - np.linalg.norm(hollow) / np.sqrt(2.0)) <= 1e-12
     return [
-        PropertyResult("norm_equivalence", "sandwich", ok,
+        PropertyResult("norm_equivalence", "sandwich", bool(ok),
                        {"trials": trials, "worst_lower_margin": float(worst_lo),
                         "worst_upper_margin": float(worst_hi)}),
         PropertyResult("norm_equivalence", "tight_cases", tight_hi and tight_lo, {}),
@@ -139,15 +148,15 @@ def suite_distortion(rng, dims=(2, 5, 8, 22), n_pairs=1000, kappa_max=100.0) -> 
         results.append(PropertyResult(
             "distortion", f"random_pairs_d{d}", total == 0,
             {"n_pairs": n_pairs, **sweep["violations"]}))
-    # commuting pairs: transport distance equals the sqrt-space Frobenius gap
+    # commuting pairs: transport distance equals the sqrt-space Frobenius gap;
+    # each pair shares the eigenbasis of one random symmetric matrix
     worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(2, 9))
-        Q = random_orthogonal(rng, d)
-        A = spectral_reconstruct(Q, rng.uniform(0.5, 4.0, d), IDENTITY)
-        B = spectral_reconstruct(Q, rng.uniform(0.5, 4.0, d), IDENTITY)
-        gap = abs(bw_distance(A, B) - np.linalg.norm(spectral_apply(A, SQRT) - spectral_apply(B, SQRT)))
-        worst = max(worst, gap)
+    for d, n in _dim_groups(rng, 50, 2, 9):
+        Q, _ = eig_sym_batch(_random_symmetric(rng, d, n))
+        A = spectral_reconstruct(Q, rng.uniform(0.5, 4.0, (n, d)), IDENTITY)
+        B = spectral_reconstruct(Q, rng.uniform(0.5, 4.0, (n, d)), IDENTITY)
+        sqrt_gap = _fro(spectral_apply_batch(A, SQRT) - spectral_apply_batch(B, SQRT))
+        worst = max(worst, float(np.max(np.abs(bw_distance_pairs(A, B) - sqrt_gap))))
     results.append(PropertyResult("distortion", "commuting_identity", worst <= 1e-8,
                                   {"worst_gap": worst}))
     chk = geometry.distortion_check(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]), kappa_bound=4.0)
@@ -158,32 +167,28 @@ def suite_distortion(rng, dims=(2, 5, 8, 22), n_pairs=1000, kappa_max=100.0) -> 
 
 def suite_injectivity(rng, trials=100) -> list:
     worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(2, 9))
-        A = _random_spd_stack(rng, 1, d, 100.0)[0]
-        B = reconstruct_spd(embed(A, EmbeddingKind.BWSPD), EmbeddingKind.BWSPD)
-        worst = max(worst, float(np.linalg.norm(A - B) / max(np.linalg.norm(A), 1e-30)))
+    for d, n in _dim_groups(rng, trials, 2, 9):
+        A = _random_spd_stack(rng, n, d, 100.0)
+        B = reconstruct_spd(embed_batch(A, EmbeddingKind.BWSPD), EmbeddingKind.BWSPD)
+        worst = max(worst, float(np.max(_fro(A - B) / np.maximum(_fro(A), 1e-30))))
     return [PropertyResult("injectivity", "token_round_trip", worst <= 1e-8,
                            {"trials": trials, "worst_rel_gap": worst})]
 
 
 def suite_metrics(rng, triples=1000) -> list:
+    # one draw for every kind: pairs at d = 4 (symmetry, identity), triples at d = 3
+    A, B = (_random_spd_stack(rng, triples // 10, 4, 100.0) for _ in range(2))
+    # sqrt(tr A) = ||sqrt(A)||_F, the size of the roots the distance compares
+    scale = np.maximum(1.0, np.sqrt(np.trace(A, axis1=1, axis2=2)))
+    X, Y, Z = (_random_spd_stack(rng, triples, 3, 100.0) for _ in range(3))
     results = []
     for kind in DistanceKind:
-        sym_worst = 0.0
-        self_worst = 0.0
-        tri_viol = 0
-        for _ in range(triples // 10):
-            A = _random_spd_stack(rng, 1, 4, 100.0)[0]
-            B = _random_spd_stack(rng, 1, 4, 100.0)[0]
-            sym_worst = max(sym_worst, abs(distance(A, B, kind) - distance(B, A, kind)))
-            # sqrt(tr A) = ||sqrt(A)||_F, the size of the roots the distance compares
-            scale = max(1.0, np.sqrt(np.trace(A)))
-            self_worst = max(self_worst, distance(A, A, kind) / scale)
-        for _ in range(triples):
-            A, B, C = (_random_spd_stack(rng, 1, 3, 100.0)[0] for _ in range(3))
-            if distance(A, C, kind) > distance(A, B, kind) + distance(B, C, kind) + 1e-9:
-                tri_viol += 1
+        d_ab, d_ba = distance_pairs(np.concatenate([A, B]), np.concatenate([B, A]), kind).reshape(2, -1)
+        sym_worst = float(np.max(np.abs(d_ab - d_ba), initial=0.0))
+        self_worst = float(np.max(distance_pairs(A, A, kind) / scale, initial=0.0))
+        d_xz, d_xy, d_yz = distance_pairs(np.concatenate([X, X, Y]), np.concatenate([Z, Y, Z]),
+                                          kind).reshape(3, -1)
+        tri_viol = int(np.sum(d_xz > d_xy + d_yz + 1e-9))
         results.append(PropertyResult(
             "metrics", f"axioms_{kind.value}",
             bool(sym_worst <= 1e-7 and self_worst <= 1e-7 and tri_viol == 0),
@@ -195,14 +200,12 @@ def suite_metrics(rng, triples=1000) -> list:
 def suite_reconstruction(rng, trials=40) -> list:
     worst_sqrt = 0.0
     worst_log = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(2, 12))
-        C = _random_spd_stack(rng, 1, d, 1e4)[0]
-        S = spectral_apply(C, SQRT)
-        worst_sqrt = max(worst_sqrt, np.linalg.norm(S @ S - C) / np.linalg.norm(C))
-        L = spectral_apply(C, LOG)
-        back = spectral_apply(L, spdcore.EXP, clip=-np.inf)
-        worst_log = max(worst_log, np.linalg.norm(back - C) / np.linalg.norm(C))
+    for d, n in _dim_groups(rng, trials, 2, 12):
+        C = _random_spd_stack(rng, n, d, 1e4)
+        S = spectral_apply_batch(C, SQRT)
+        worst_sqrt = max(worst_sqrt, float(np.max(_fro(S @ S - C) / _fro(C))))
+        back = spectral_apply_batch(spectral_apply_batch(C, LOG), spdcore.EXP, clip=-np.inf)
+        worst_log = max(worst_log, float(np.max(_fro(back - C) / _fro(C))))
     return [
         PropertyResult("reconstruction", "sqrt_squares_back", worst_sqrt <= 1e-8,
                        {"worst_rel": worst_sqrt}),
@@ -370,9 +373,9 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
 
     masks = []
 
-    def loss_value():
+    def loss_value(toks=tokens):
         with _frozen_relu(masks):
-            return float(ad.cross_entropy(model.forward(tokens, training=True), labels).data)
+            return float(ad.cross_entropy(model.forward(toks, training=True), labels).data)
 
     model.zero_grad()
     with _frozen_relu(masks):
@@ -412,8 +415,7 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
     def loss_of_first(Cmat):
         toks = tokens.copy()
         toks[0, 0] = embed(Cmat, EmbeddingKind.BWSPD)
-        with _frozen_relu(masks):
-            return float(ad.cross_entropy(model.forward(toks, training=True), labels).data)
+        return loss_value(toks)
 
     want = (loss_of_first(Cs[0] + h * E) - loss_of_first(Cs[0] - h * E)) / (2.0 * h)
     got = float(np.sum(grad_C0 * E))
@@ -462,16 +464,11 @@ def bn_embed_slope(rng, eps_levels=(0.02, 0.05, 0.1, 0.15, 0.2), batches_per_eps
     gaps = []
     measured_eps = []
     for eps in eps_levels:
-        level_gaps = []
-        level_eps = []
-        for b in range(batches_per_eps):
-            ds = synth_dataset(SynthSpec(n_classes=1, dim=d, trials_per_class=n,
-                                         separation=0.0, dispersion=eps, seed=3000 + b))
-            rep = dispersion_report(ds.matrices)
-            level_gaps.append(rep.sqrt_mean_gap)
-            level_eps.append(rep.epsilon)
-        gaps.append(float(np.mean(level_gaps)))
-        measured_eps.append(float(np.mean(level_eps)))
+        reps = [dispersion_report(synth_dataset(SynthSpec(
+                    n_classes=1, dim=d, trials_per_class=n, separation=0.0,
+                    dispersion=eps, seed=3000 + b)).matrices) for b in range(batches_per_eps)]
+        gaps.append(float(np.mean([r.sqrt_mean_gap for r in reps])))
+        measured_eps.append(float(np.mean([r.epsilon for r in reps])))
     slope = loglog_slope(eps_levels, gaps)
     return {"slope": slope, "eps_levels": list(eps_levels), "mean_gaps": gaps,
             "measured_eps": measured_eps}

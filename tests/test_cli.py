@@ -5,6 +5,7 @@ import pytest
 
 from spdtok.ablate import format_ablation_table, run_ablation
 from spdtok.cli import main
+from spdtok.container import write_matrix_container
 from spdtok.errors import InvalidSpec, MissingRun
 from spdtok.report import consolidate, curves_csv, load_run, markdown_table
 from spdtok.train import DataConfig, ExperimentConfig, train_experiment
@@ -49,6 +50,16 @@ class TestAblate:
     def test_bands_axis_needs_time_series(self):
         with pytest.raises(InvalidSpec):
             run_ablation(tiny_exp(), "bands")
+
+    def test_bands_axis_needs_segments(self, tmp_path):
+        path = tmp_path / "mats.spdt"
+        write_matrix_container(path, {"matrices": np.stack([np.eye(3)] * 8),
+                                      "labels": np.arange(8) % 2.0})
+        exp = ExperimentConfig(data=DataConfig(source="container", container_path=str(path)),
+                               model=dict(d_model=16, layers=1, heads=2, d_ff=16),
+                               epochs=1, batch_size=8, seeds=(3,))
+        with pytest.raises(InvalidSpec, match="segments"):
+            run_ablation(exp, "bands")
 
     def test_bands_axis_runs(self):
         exp = ExperimentConfig(

@@ -12,8 +12,8 @@ from spdtok.geometry import (
     bw_distances_to,
     dispersion_report,
     distance,
+    distance_pairs,
     distortion_check,
-    frobenius_distance,
     logeuclidean_distance,
 )
 from spdtok.spdcore import SQRT, spectral_apply, sym
@@ -79,6 +79,9 @@ class TestBwDistance:
         Bs = np.stack([random_spd(rng, 3, kappa=10 ** rng.uniform(0, 2)) for _ in range(200)])
         batch = bw_distance_pairs(As, Bs)
         assert all(batch[i] == bw_distance(As[i], Bs[i]) for i in range(200))
+        for kind in DistanceKind:
+            batch = distance_pairs(As, Bs, kind)
+            assert all(batch[i] == distance(As[i], Bs[i], kind) for i in range(200)), kind
 
     def test_self_distance_has_no_cancellation_floor(self, rng):
         As = np.stack([random_spd(rng, 4, kappa=10 ** rng.uniform(0, 2)) for _ in range(2000)])
@@ -250,4 +253,4 @@ class TestDistortionCheck:
 def test_frobenius_distance_matches_numpy(rng):
     A = random_spd(rng, 4)
     B = random_spd(rng, 4)
-    assert frobenius_distance(A, B) == np.linalg.norm(A - B)
+    assert distance(A, B, DistanceKind.FROBENIUS) == np.linalg.norm(A - B)

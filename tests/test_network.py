@@ -11,9 +11,9 @@ from spdtok.network import (
     ModelConfig,
     SpdTokenTransformer,
     geometric_bias,
-    scaled_down,
 )
 from spdtok.optim import Adam, adam_step
+from spdtok.tasks import SCALED_MODEL
 
 from conftest import random_spd
 
@@ -47,7 +47,7 @@ class TestConfig:
         assert counts["core"] == 827_908
         assert counts["total"] == 828_292
         assert abs(counts["core"] - 827_908) <= 0.01 * 827_908
-        small = SpdTokenTransformer(scaled_down(36, 5), seed=0)
+        small = SpdTokenTransformer(ModelConfig(d_token=36, n_classes=5, **SCALED_MODEL), seed=0)
         assert small.parameter_counts()["core"] == 136_581
         assert small.parameter_counts()["total"] == 136_773
 

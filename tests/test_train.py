@@ -99,6 +99,13 @@ class TestTokenize:
         assert tds.tokens.shape == (8, 1, 10)
         assert np.array_equal(tds.labels, labels.astype(np.int64))
 
+    def test_container_matrices_reject_multiband(self, rng, tmp_path):
+        mats = np.stack([random_spd(rng, 4) for _ in range(12)])
+        path = tmp_path / "mats.spdt"
+        write_matrix_container(path, {"matrices": mats, "labels": np.zeros(12)})
+        with pytest.raises(InvalidSpec, match="segments"):
+            tokenize(DataConfig(source="container", container_path=str(path), multiband=True))
+
     def test_container_22_channels_gives_253_tokens(self, rng, tmp_path):
         mats = np.stack([random_spd(rng, 22) for _ in range(4)])
         labels = np.array([0, 1, 0, 1], dtype=np.float64)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from spdtok import autodiff as ad
+from spdtok import verify
+from spdtok.embedding import unvech
 from spdtok.errors import InvalidSpec
+from spdtok.geometry import DistanceKind
 from spdtok.spdcore import LOG, dk_matrix
 from spdtok.verify import (
     SUITES,
@@ -118,6 +121,28 @@ def test_mutation_maskless_relu_backward_fails_micro_model(monkeypatch):
     res = micro_model_gradient_check(np.random.default_rng(11))
     assert res["param_failures"] > 0
     assert not res["input_path_ok"]
+
+
+def test_mutation_squared_frobenius_fails_metrics(monkeypatch):
+    # squared distances keep symmetry and identity but break the triangle inequality
+    real = verify.distance_pairs
+
+    def squared_frobenius(As, Bs, kind):
+        out = real(As, Bs, kind)
+        return out ** 2 if DistanceKind(kind) is DistanceKind.FROBENIUS else out
+
+    monkeypatch.setattr(verify, "distance_pairs", squared_frobenius)
+    results = {r.name: r for r in verify.suite_metrics(np.random.default_rng(0))}
+    assert not results["axioms_frobenius"].passed
+    assert results["axioms_frobenius"].measured["triangle_violations"] > 0
+    assert results["axioms_bw"].passed and results["axioms_logeuclidean"].passed
+
+
+def test_mutation_unsquared_reconstruction_fails_injectivity(monkeypatch):
+    # sqrt tokens unpacked without squaring rebuild sqrt(C), not C
+    monkeypatch.setattr(verify, "reconstruct_spd", lambda tokens, kind: unvech(tokens))
+    (res,) = verify.suite_injectivity(np.random.default_rng(0))
+    assert not res.passed
 
 
 def test_bn_embed_slope_small():
