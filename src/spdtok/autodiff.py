@@ -9,6 +9,16 @@ the graph stays small and fast.
 
 Only what the transformer needs is implemented; there is no broadcasting
 matmul beyond stacked batches times shared 2-D weights, and no in-place ops.
+
+`linear` flattens every leading axis of its (..., m) input into one (-1, m)
+matrix, multiplies it by the (m, k) weight in a single 2-D GEMM and reshapes
+the result back to (..., k); its backward pass does the same for the input
+gradient (skipped when the input needs none) and forms the weight gradient
+as x2.T @ g2 on the flattened views. Each of these products sums its inner
+dimension in fixed blocks of K_BLOCK (one GEMM when it is no longer): OpenBLAS
+cuts a longer inner dimension into different blocks with one thread than with
+several, so a d = 56 projection (1596 inputs) would otherwise change its bits
+with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -134,24 +144,40 @@ def scale(a, s: float):
     return Tensor(a.data * s, parents=(a,), backward=backward)
 
 
+# inner-dimension block of `_matmul`, below the 384-long K block of OpenBLAS's
+# AVX-512 double GEMM, so BLAS never splits it further
+K_BLOCK = 256
+
+
+def _matmul(a, b):
+    """a @ b for 2-D a, b, summing the inner dimension block by block in order."""
+    out = a[:, :K_BLOCK] @ b[:K_BLOCK]
+    for s in range(K_BLOCK, a.shape[1], K_BLOCK):
+        out += a[:, s:s + K_BLOCK] @ b[s:s + K_BLOCK]
+    return out
+
+
 def linear(x, W, b=None):
-    """x @ W (+ b) where x is (..., m) and W is (m, k)."""
+    """x @ W (+ b) where x is (..., m) and W is (m, k), as one (-1, m) @ (m, k)
+    product; the input gradient is formed only when x requires one."""
     x, W = as_tensor(x), as_tensor(W)
-    if x.data.shape[-1] != W.data.shape[0]:
+    m, k = W.data.shape
+    lead = x.data.shape[:-1]
+    if x.data.shape[-1] != m:
         raise ShapeMismatch(f"linear: {x.data.shape} @ {W.data.shape}")
-    out_data = x.data @ W.data
+    x2 = x.data.reshape(-1, m)
+    out_data = _matmul(x2, W.data).reshape(lead + (k,))
     if b is not None:
         b = as_tensor(b)
         out_data = out_data + b.data
 
-    m, k = W.data.shape
-
     def backward(g):
-        gx = g @ W.data.T
-        gW = x.data.reshape(-1, m).T @ g.reshape(-1, k)
+        g2 = g.reshape(-1, k)
+        gx = _matmul(g2, W.data.T).reshape(lead + (m,)) if x.requires_grad else None
+        gW = _matmul(x2.T, g2)
         if b is None:
             return gx, gW
-        gb = g.reshape(-1, k).sum(axis=0)
+        gb = g2.sum(axis=0)
         return gx, gW, gb
 
     parents = (x, W) if b is None else (x, W, b)

@@ -50,9 +50,11 @@ def vech_batch(Ms: np.ndarray) -> np.ndarray:
     """Row-major upper triangles of a (..., d, d) stack, shape (..., d(d+1)/2).
 
     The packing behind vech and every tokeniser, without vech's symmetry check.
+    The result is C-contiguous (the fancy index alone puts the stack axis
+    innermost), so tokens reach the network in one memory layout.
     """
     i, j = np.triu_indices(Ms.shape[-1])
-    return Ms[..., i, j]
+    return np.ascontiguousarray(Ms[..., i, j])
 
 
 def vech(M: np.ndarray) -> np.ndarray:

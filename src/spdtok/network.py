@@ -21,6 +21,11 @@ so attention is exactly the value-output projection Wo(Wv h + bv) + bo. The
 block computes only that: Q/K are never applied and get no gradient (their
 `grad` stays None, so Adam skips them), yet they stay in the parameter dict,
 so checkpoints and parameter counts do not depend on T.
+
+Eval mode (`training=False`) reads the parameters' values through constant
+tensors, so it gives no parameter gradients: on a plain array it builds no
+graph at all, and an input that requires grad still gets its gradient while
+every parameter's `grad` is left as it was.
 """
 
 from __future__ import annotations
@@ -179,7 +184,9 @@ class SpdTokenTransformer:
         if c.attention == "geometric" and attn_bias is None:
             attn_bias = geometric_bias(x.data, c.token_kind)
 
-        p = self.params
+        # eval mode reads parameter values through constants: no parameter gets
+        # a gradient, and on a plain array no node or closure is kept
+        p = self.params if training else {n: Tensor(t.data) for n, t in self.params.items()}
         h = ad.linear(x, p["proj.W"], p["proj.b"])
         h = ad.add(h, p["pos"])
         if c.use_bn_embed:
@@ -197,7 +204,7 @@ class SpdTokenTransformer:
             h = ad.dropout(h, c.dropout, dropout_rng)
 
         for i in range(c.layers):
-            attn = self._attention(h, i, attn_bias)
+            attn = self._attention(h, i, attn_bias, p)
             if training and c.dropout > 0.0:
                 attn = ad.dropout(attn, c.dropout, dropout_rng)
             h = ad.layer_norm(ad.add(h, attn), p[f"enc{i}.ln1.gamma"], p[f"enc{i}.ln1.beta"])
@@ -215,9 +222,11 @@ class SpdTokenTransformer:
             raise NonFinite("non-finite logits")
         return logits
 
-    def _attention(self, h: Tensor, i: int, attn_bias) -> Tensor:
+    def _attention(self, h: Tensor, i: int, attn_bias, p=None) -> Tensor:
+        """Block i's self-attention on h, with weights from `p` (the live
+        parameters unless forward passes its constant eval-mode views)."""
         c = self.config
-        p = self.params
+        p = self.params if p is None else p
         batch, T, _ = h.data.shape
         if T == 1:  # softmax over one key is exactly 1 (see the module docstring)
             v = ad.linear(h, p[f"enc{i}.attn.Wv"], p[f"enc{i}.attn.bv"])

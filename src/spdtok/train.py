@@ -2,13 +2,14 @@
 
 A run is fully determined by (config, seed): model init, batch shuffling and
 dropout all draw from generators derived from the seed, and every file the
-run writes except the timing column of epochs.csv is a pure function of the
-two. metrics.json deliberately contains no timing, so two runs with the same
-config and seed produce byte-identical metrics files.
+run writes except the timing columns of epochs.csv is a pure function of
+the two. metrics.json deliberately contains no timing, so two runs with the
+same config and seed produce byte-identical metrics files.
 
 Per run directory:
     metrics.json         config echo, per-epoch curves, final metrics
-    epochs.csv           per-epoch losses/accuracies plus wall-clock seconds
+    epochs.csv           per-epoch losses/accuracies plus wall-clock seconds of
+                         the training loop and of the evaluation
     checkpoint.spdt      parameters after the last epoch
     checkpoint_best.spdt parameters at the best validation epoch
 """
@@ -45,6 +46,9 @@ from .stats import mean_std
 
 DEFAULT_SEEDS = (42, 123, 456, 789, 1024)
 EVAL_BATCH = 512
+# epochs.csv timing columns: the epoch's training loop, then its evaluation of
+# the three splits; metrics.json leaves both out
+CLOCK_COLUMNS = ("wall_clock_s", "eval_clock_s")
 
 
 @dataclass
@@ -154,6 +158,15 @@ def _matrix_token_dataset(mats, labels, kind, extra_meta=None) -> TokenDataset:
     return TokenDataset(tokens[:, None, :], labels, keys, int(labels.max()) + 1, meta)
 
 
+def _class_labels(raw) -> np.ndarray:
+    """A container's labels as int64 class indices; InvalidSpec unless every
+    one is a non-negative integer (a cast alone would train 1.7 as class 1)."""
+    raw = np.asarray(raw, dtype=np.float64)
+    if not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw))):
+        raise InvalidSpec("container labels must be non-negative integers")
+    return raw.astype(np.int64)
+
+
 def tokenize(data_cfg: DataConfig) -> TokenDataset:
     kind = EmbeddingKind(data_cfg.embedding)
     if data_cfg.source == "synth":
@@ -168,8 +181,8 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
             if data_cfg.multiband:
                 raise InvalidSpec("multi-band tokens need segments; this container holds matrices")
             return _matrix_token_dataset(packed["matrices"],
-                                         packed["labels"].astype(np.int64), kind)
-        batch = SegmentBatch(packed["segments"], packed["labels"].astype(np.int64),
+                                         _class_labels(packed["labels"]), kind)
+        batch = SegmentBatch(packed["segments"], _class_labels(packed["labels"]),
                              float(packed["sample_rate"]))
 
     keys = [trial_key(x) for x in batch.data]
@@ -215,7 +228,7 @@ class RunReport:
 
     def to_metrics_dict(self):
         """Everything except wall-clock timing (kept out for byte-stable files)."""
-        rows = [{k: v for k, v in row.items() if k != "wall_clock_s"} for row in self.epochs]
+        rows = [{k: v for k, v in row.items() if k not in CLOCK_COLUMNS} for row in self.epochs]
         return {
             "seed": self.seed,
             "config": self.config,
@@ -282,17 +295,18 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
             opt.zero_grad()
             loss.backward()
             opt.step()
-        wall = time.perf_counter() - t0
+        t1 = time.perf_counter()
         (train_loss, train_acc), (val_loss, val_acc), (test_loss, test_acc) = (
             _evaluate(model, tokens[idx], labels[idx],
                       attn_bias=attn_bias[idx] if attn_bias is not None else None)
             for idx in (train_idx, val_idx, test_idx))
+        t2 = time.perf_counter()
         rows.append({
             "epoch": epoch,
             "train_loss": train_loss, "train_acc": train_acc,
             "val_loss": val_loss, "val_acc": val_acc,
             "test_loss": test_loss, "test_acc": test_acc,
-            "wall_clock_s": wall,
+            "wall_clock_s": t1 - t0, "eval_clock_s": t2 - t1,
         })
         if val_acc > best_val:
             best_val = val_acc
@@ -318,7 +332,7 @@ def write_run_dir(out_dir: str, report: RunReport, model, best_state):
         json.dump(report.to_metrics_dict(), f, sort_keys=True, indent=2)
         f.write("\n")
     cols = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc",
-            "test_loss", "test_acc", "wall_clock_s"]
+            "test_loss", "test_acc", *CLOCK_COLUMNS]
     with open(os.path.join(out_dir, "epochs.csv"), "w", encoding="utf-8") as f:
         f.write(",".join(cols) + "\n")
         for row in report.epochs:

@@ -70,6 +70,88 @@ class TestBasics:
             y.backward()
 
 
+class _CountingTranspose(np.ndarray):
+    """An ndarray that counts reads of its `.T`, the operand of `g @ W.T`."""
+    reads = 0
+
+    @property
+    def T(self):
+        type(self).reads += 1
+        return super().T
+
+
+class TestLinear:
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_stacked_input_is_one_flat_gemm(self, rng, T):
+        B, m, k = 5, 7, 4
+        x = Tensor(rng.standard_normal((B, T, m)), requires_grad=True)
+        W = Tensor(rng.standard_normal((m, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal(k), requires_grad=True)
+        up = rng.standard_normal((B, T, k))
+        out = ad.linear(x, W, b)
+        # the scalar loss hands `out` exactly `up` as its upstream gradient
+        scalar_loss(out, up.ravel()).backward()
+        x2, g2 = x.data.reshape(-1, m), up.reshape(-1, k)
+        assert np.array_equal(out.data, (x2 @ W.data).reshape(B, T, k) + b.data)
+        assert np.array_equal(x.grad, (g2 @ W.data.T).reshape(B, T, m))
+        assert np.array_equal(W.grad, x2.T @ g2)
+        assert np.array_equal(b.grad, g2.sum(axis=0))
+
+    def test_3d_input_matches_finite_differences(self, rng):
+        x = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
+        W = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        build = lambda: ad.linear(x, W, b)
+        w = rng.standard_normal(24)
+        scalar_loss(build(), w).backward()
+        for leaf in (x, W, b):
+            num = numeric_grad(lambda: float(build().data.ravel() @ w), leaf.data)
+            assert np.allclose(leaf.grad, num, atol=1e-6)
+
+    @pytest.mark.parametrize("input_needs_grad", [False, True])
+    def test_input_gradient_only_when_needed(self, rng, input_needs_grad):
+        x = Tensor(rng.standard_normal((6, 1, 5)), requires_grad=input_needs_grad)
+        W = Tensor(np.zeros((5, 3)), requires_grad=True)
+        # set after construction: Tensor() converts a subclass to a plain ndarray
+        W.data = rng.standard_normal((5, 3)).view(_CountingTranspose)
+        _CountingTranspose.reads = 0
+        scalar_loss(ad.linear(x, W), rng.standard_normal(18)).backward()
+        assert W.grad is not None
+        assert _CountingTranspose.reads == int(input_needs_grad)
+        assert (x.grad is not None) == input_needs_grad
+
+    def test_bits_independent_of_blas_threads(self):
+        import os
+        import subprocess
+        import sys
+
+        # a d = 56 projection: both inner dimensions (1596 forward, 400 rows for
+        # gW) are longer than OpenBLAS's K block, which one thread and two split
+        # differently
+        child = (
+            "import hashlib, numpy as np\n"
+            "from spdtok import autodiff as ad\n"
+            "rng = np.random.default_rng(3)\n"
+            "x = rng.standard_normal((400, 1, 1596))\n"
+            "W = ad.Tensor(rng.standard_normal((1596, 128)), requires_grad=True)\n"
+            "out = ad.linear(x, W)\n"
+            "w = ad.Tensor(rng.standard_normal((51200, 1)))\n"
+            "ad.linear(ad.reshape(out, (51200,)), w).backward()\n"
+            "print(hashlib.sha256(out.data.tobytes() + W.grad.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(ad.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", child],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+
 class TestOpsAgainstFiniteDifferences:
     @pytest.mark.parametrize("op_name", ["mul", "relu", "softmax", "bmm", "bmm_t",
                                          "mean", "reshape_transpose"])

@@ -10,6 +10,7 @@ from spdtok.embedding import (
     token_length,
     unvech,
     vech,
+    vech_batch,
 )
 from spdtok.errors import DimMismatch, NonFinite, NotSymmetric
 
@@ -45,6 +46,15 @@ class TestVech:
         M = rng.standard_normal((4, 4))
         with pytest.raises(NotSymmetric):
             vech(M)
+
+    def test_batch_is_c_contiguous(self, rng):
+        # every tokeniser hands the network row-major tokens
+        Ms = np.stack([random_symmetric(rng, 5) for _ in range(7)])
+        assert vech_batch(Ms).flags.c_contiguous
+        assert vech_batch(Ms.reshape(7, 1, 5, 5)).flags.c_contiguous
+        for kind in EmbeddingKind:
+            assert embed_batch(np.stack([random_spd(rng, 4) for _ in range(6)]),
+                               kind).flags.c_contiguous
 
     def test_unvech_bad_length(self):
         with pytest.raises(DimMismatch):

@@ -276,6 +276,37 @@ class TestSingleTokenAttention:
                 assert m.params[f"enc{i}.attn.{name}"].grad is not None, (i, name)
 
 
+class TestEvalMode:
+    @pytest.mark.parametrize("seq_len", [1, 3])
+    def test_plain_array_builds_no_tape(self, rng, seq_len):
+        m = micro_model(seq_len=seq_len)
+        logits = m.forward(rng.standard_normal((5, seq_len, 10)))
+        assert not logits.requires_grad
+        assert logits._parents == () and logits._backward is None
+        assert all(t.grad is None for t in m.params.values())
+
+    def test_input_gradient_without_parameter_gradients(self, rng):
+        m = micro_model()
+        toks = Tensor(rng.standard_normal((5, 1, 10)), requires_grad=True)
+        ad.cross_entropy(m.forward(toks), rng.integers(0, 3, 5)).backward()
+        assert toks.grad is not None and np.any(toks.grad != 0.0)
+        assert all(t.grad is None for t in m.params.values())
+
+    def test_logits_independent_of_token_layout(self, rng):
+        # the same (n, D) token values, C-contiguous and with the stack axis
+        # innermost (strides (8, 8 n), as vech_batch once returned), give the
+        # same logits bit for bit
+        for seed in range(40):
+            cfg = ModelConfig(d_token=10, n_classes=3, d_model=16, layers=2, heads=2,
+                              d_ff=24, dropout=0.0)
+            m = SpdTokenTransformer(cfg, seed=seed)
+            flat = rng.standard_normal((int(rng.integers(2, 40)), 10))
+            strided = np.asfortranarray(flat)
+            a = m.forward(flat[:, None, :]).data
+            b = m.forward(strided[:, None, :]).data
+            assert a.tobytes() == b.tobytes(), seed
+
+
 class TestAdam:
     def test_matches_scalar_reference(self, rng):
         # independent scalar reference implementing the textbook update

@@ -106,6 +106,20 @@ class TestTokenize:
         with pytest.raises(InvalidSpec, match="segments"):
             tokenize(DataConfig(source="container", container_path=str(path), multiband=True))
 
+    @pytest.mark.parametrize("bad", [1.7, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("content", ["matrices", "segments"])
+    def test_container_labels_must_be_class_indices(self, rng, tmp_path, content, bad):
+        labels = np.array([0.0, bad, 1.0, 0.0])
+        if content == "matrices":
+            entries = {"matrices": np.stack([random_spd(rng, 3) for _ in range(4)])}
+        else:
+            entries = {"segments": rng.standard_normal((4, 3, 256)),
+                       "sample_rate": np.float64(256.0)}
+        path = tmp_path / "bad_labels.spdt"
+        write_matrix_container(path, {**entries, "labels": labels})
+        with pytest.raises(InvalidSpec, match="labels"):
+            tokenize(DataConfig(source="container", container_path=str(path)))
+
     def test_container_22_channels_gives_253_tokens(self, rng, tmp_path):
         mats = np.stack([random_spd(rng, 22) for _ in range(4)])
         labels = np.array([0, 1, 0, 1], dtype=np.float64)
@@ -145,9 +159,11 @@ class TestRunSingle:
         assert metrics["seed"] == 5
         assert len(metrics["epochs"]) == 2
         assert "wall_clock_s" not in metrics["epochs"][0]
+        assert "eval_clock_s" not in metrics["epochs"][0]
         csv_lines = (out / "epochs.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 3
-        assert csv_lines[0].endswith("wall_clock_s")
+        assert csv_lines[0].split(",")[-2:] == ["wall_clock_s", "eval_clock_s"]
+        assert all(float(v) > 0.0 for line in csv_lines[1:] for v in line.split(",")[-2:])
 
     def test_geometric_token_kind_follows_data_embedding(self):
         exp = small_exp(model=dict(d_model=16, layers=1, heads=2, d_ff=16, dropout=0.1,
