@@ -8,7 +8,8 @@ layer_norm, batch_norm, cross_entropy) carry closed-form backward rules so
 the graph stays small and fast.
 
 Only what the transformer needs is implemented; there is no broadcasting
-matmul beyond stacked batches times shared 2-D weights, and no in-place ops.
+matmul beyond stacked batches times shared 2-D weights, and no in-place ops
+on a tensor's data once it is built.
 
 `linear` flattens every leading axis of its (..., m) input into one (-1, m)
 matrix, multiplies it by the (m, k) weight in a single 2-D GEMM and reshapes
@@ -18,7 +19,9 @@ as x2.T @ g2 on the flattened views. Each of these products sums its inner
 dimension in fixed blocks of K_BLOCK (one GEMM when it is no longer): OpenBLAS
 cuts a longer inner dimension into different blocks with one thread than with
 several, so a d = 56 projection (1596 inputs) would otherwise change its bits
-with the BLAS thread count.
+with the BLAS thread count. An output narrower than MIN_COLS is formed
+against weights padded with zero columns, so that, as for wider outputs, a
+row's result does not depend on how many rows share the product.
 """
 
 from __future__ import annotations
@@ -157,6 +160,12 @@ def _matmul(a, b):
     return out
 
 
+# fewest output columns `linear` hands OpenBLAS: with fewer (a two-class head),
+# a row's bits depend on how many rows share the product, so W is padded with
+# zero columns up to this width and the product cut back
+MIN_COLS = 4
+
+
 def linear(x, W, b=None):
     """x @ W (+ b) where x is (..., m) and W is (m, k), as one (-1, m) @ (m, k)
     product; the input gradient is formed only when x requires one."""
@@ -166,10 +175,16 @@ def linear(x, W, b=None):
     if x.data.shape[-1] != m:
         raise ShapeMismatch(f"linear: {x.data.shape} @ {W.data.shape}")
     x2 = x.data.reshape(-1, m)
-    out_data = _matmul(x2, W.data).reshape(lead + (k,))
+    if k < MIN_COLS:
+        padded = np.zeros((m, MIN_COLS))
+        padded[:, :k] = W.data
+        out2 = _matmul(x2, padded)[:, :k].copy()
+    else:
+        out2 = _matmul(x2, W.data)
+    out_data = out2.reshape(lead + (k,))
     if b is not None:
         b = as_tensor(b)
-        out_data = out_data + b.data
+        out_data += b.data  # the GEMM output is fresh, so add in place
 
     def backward(g):
         g2 = g.reshape(-1, k)
@@ -259,10 +274,10 @@ def softmax(a, axis=-1):
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalise the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    # centred once: the same operations, in the same order, as np.var's own
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     out_data = gamma.data * xhat + beta.data
 
     def backward(g):

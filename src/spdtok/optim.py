@@ -1,6 +1,20 @@
-"""Adam optimizer over named parameter tensors."""
+"""Adam optimizer over named parameter tensors.
+
+`Adam.state[name]` holds that tensor's step count `t` and its two moment
+estimates, kept unnormalised (Kingma & Ba 2015, end of section 2, with the
+(1 - beta) factors moved out of the averages):
+
+    m = beta1 * m + g        (= Adam's first moment  / (1 - beta1))
+    v = beta2 * v + g * g    (= Adam's second moment / (1 - beta2))
+
+so (1 - beta1), sqrt(1 - beta2) and both bias corrections fold into one
+scalar step size and one scalar epsilon per step. A tensor whose `grad` is
+None on a step is skipped, and its count does not advance, as in PyTorch.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -13,35 +27,48 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
         self.state = {k: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
                       for k, p in params.items()}
+        # one work array for every tensor's update, sized to the largest
+        self._scratch = np.empty(max((p.data.size for p in params.values()), default=0))
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
-        self.t += 1
         for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            state = self.state[k]
-            state["t"] = self.t - 1  # adam_step advances it to this step's count
-            p.data = adam_step(p.data, p.grad, state, self.lr, self.beta1, self.beta2, self.eps)
+            if p.grad is not None:
+                adam_step(p.data, p.grad, self.state[k], self.lr, self.beta1, self.beta2,
+                          self.eps, self._scratch)
 
 
-def adam_step(theta, grad, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One functional Adam update on plain arrays.
+def adam_step(theta, grad, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, scratch=None):
+    """One Adam update of the array `theta`, in place; returns `theta`.
 
-    state is a dict {m, v, t} mutated in place; returns the updated theta.
-    Adam.step applies it to each tensor; tests drive it against a scalar
-    reference implementation.
+    `state` is {m, v, t}, the unnormalised moments and step count of the
+    module docstring, also updated in place. `scratch` is a work array of at
+    least theta.size values (a fresh one when None). Adam.step applies this to
+    each tensor; tests drive it against a textbook scalar reference.
     """
     state["t"] += 1
     t = state["t"]
-    state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
-    state["v"] = beta2 * state["v"] + (1.0 - beta2) * grad * grad
-    m_hat = state["m"] / (1.0 - beta1 ** t)
-    v_hat = state["v"] / (1.0 - beta2 ** t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    # theta -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = (1 - beta1) m / (1 - beta1^t)
+    # and v_hat = (1 - beta2) v / (1 - beta2^t), multiplied through by
+    # sqrt((1 - beta2^t) / (1 - beta2))
+    root = math.sqrt((1.0 - beta2 ** t) / (1.0 - beta2))
+    step_size = lr * (1.0 - beta1) / (1.0 - beta1 ** t) * root
+    eps_t = eps * root
+    m, v = state["m"], state["v"]
+    buf = (np.empty(theta.size) if scratch is None else scratch[:theta.size]).reshape(theta.shape)
+    m *= beta1
+    m += grad
+    v *= beta2
+    np.multiply(grad, grad, out=buf)
+    v += buf
+    np.sqrt(v, out=buf)
+    buf += eps_t
+    np.divide(m, buf, out=buf)
+    buf *= step_size
+    theta -= buf
+    return theta

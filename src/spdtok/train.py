@@ -6,6 +6,10 @@ run writes except the timing columns of epochs.csv is a pure function of
 the two. metrics.json deliberately contains no timing, so two runs with the
 same config and seed produce byte-identical metrics files.
 
+Each epoch ends with one `_evaluate` call: a single eval forward over the
+train, val and test rows, EVAL_BATCH rows at a time, after which each split's
+loss and accuracy are taken over its own rows.
+
 Per run directory:
     metrics.json         config echo, per-epoch curves, final metrics
     epochs.csv           per-epoch losses/accuracies plus wall-clock seconds of
@@ -158,10 +162,21 @@ def _matrix_token_dataset(mats, labels, kind, extra_meta=None) -> TokenDataset:
     return TokenDataset(tokens[:, None, :], labels, keys, int(labels.max()) + 1, meta)
 
 
+def _entry(packed: dict, name: str) -> np.ndarray:
+    if name not in packed:
+        raise InvalidSpec(f"container has no {name!r} entry")
+    return packed[name]
+
+
 def _class_labels(raw) -> np.ndarray:
-    """A container's labels as int64 class indices; InvalidSpec unless every
-    one is a non-negative integer (a cast alone would train 1.7 as class 1)."""
+    """A container's labels as int64 class indices; InvalidSpec unless they
+    are a non-empty 1-D array of non-negative integers (a cast alone would
+    train 1.7 as class 1)."""
     raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim != 1:
+        raise InvalidSpec(f"container labels must be 1-D, got shape {raw.shape}")
+    if raw.size == 0:
+        raise InvalidSpec("container holds no trials")
     if not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw))):
         raise InvalidSpec("container labels must be non-negative integers")
     return raw.astype(np.int64)
@@ -177,13 +192,20 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
         batch = synth_band_mixture(BandMixtureSpec.from_dict(data_cfg.band_mixture))
     else:
         packed = read_matrix_container(data_cfg.container_path)
+        labels = _class_labels(_entry(packed, "labels"))
         if "matrices" in packed:
             if data_cfg.multiband:
                 raise InvalidSpec("multi-band tokens need segments; this container holds matrices")
-            return _matrix_token_dataset(packed["matrices"],
-                                         _class_labels(packed["labels"]), kind)
-        batch = SegmentBatch(packed["segments"], _class_labels(packed["labels"]),
-                             float(packed["sample_rate"]))
+            mats = packed["matrices"]
+            if labels.shape != mats.shape[:1]:
+                raise InvalidSpec(f"container has {len(labels)} labels for matrices "
+                                  f"of shape {mats.shape}")
+            return _matrix_token_dataset(mats, labels, kind)
+        segments = _entry(packed, "segments")
+        rate = _entry(packed, "sample_rate")
+        if rate.size != 1:
+            raise InvalidSpec(f"container sample_rate must be one number, got shape {rate.shape}")
+        batch = SegmentBatch(segments, labels, float(rate.item()))
 
     keys = [trial_key(x) for x in batch.data]
     if not data_cfg.multiband:
@@ -239,21 +261,39 @@ class RunReport:
         }
 
 
-def _evaluate(model, tokens, labels, attn_bias=None):
-    """Mean loss and accuracy in eval mode, EVAL_BATCH samples per forward pass;
-    `attn_bias` holds the rows of the precomputed geometric-attention bias
-    that belong to `tokens`."""
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, len(labels), EVAL_BATCH):
-        sl = slice(start, start + EVAL_BATCH)
-        bias = attn_bias[sl] if attn_bias is not None else None
-        logits = model.forward(tokens[sl], training=False, attn_bias=bias)
-        loss = ad.cross_entropy(logits, labels[sl])
-        total_loss += float(loss.data) * len(labels[sl])
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[sl]))
-    n = len(labels)
-    return (total_loss / n if n else 0.0, correct / n if n else 0.0)
+def _evaluate(model, tokens, labels, attn_bias=None, splits=None):
+    """[(mean loss, accuracy)] in eval mode for each index array in `splits`
+    (default: every row as one split); `attn_bias` holds the precomputed
+    geometric-attention bias of all rows of `tokens`.
+
+    The splits' rows go through one forward pass, EVAL_BATCH rows at a time.
+    Each split's loss is then summed over its own EVAL_BATCH-row chunks, so
+    the result equals evaluating each split alone: eval-mode logits of a row
+    do not depend on the rows that share its batch.
+    """
+    if splits is None:
+        splits = (np.arange(len(labels)),)
+    rows = np.concatenate(splits)
+    logits = np.empty((len(rows), model.config.n_classes))
+    for start in range(0, len(rows), EVAL_BATCH):
+        sel = rows[start:start + EVAL_BATCH]
+        bias = attn_bias[sel] if attn_bias is not None else None
+        logits[start:start + len(sel)] = model.forward(tokens[sel], training=False,
+                                                       attn_bias=bias).data
+    results = []
+    offset = 0
+    for idx in splits:
+        total_loss = 0.0
+        correct = 0
+        for start in range(0, len(idx), EVAL_BATCH):
+            y = labels[idx[start:start + EVAL_BATCH]]
+            chunk = logits[offset + start:offset + start + len(y)]
+            total_loss += float(ad.cross_entropy(chunk, y).data) * len(y)
+            correct += int(np.sum(np.argmax(chunk, axis=1) == y))
+        n = len(idx)
+        offset += n
+        results.append((total_loss / n if n else 0.0, correct / n if n else 0.0))
+    return results
 
 
 def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
@@ -296,10 +336,8 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
             loss.backward()
             opt.step()
         t1 = time.perf_counter()
-        (train_loss, train_acc), (val_loss, val_acc), (test_loss, test_acc) = (
-            _evaluate(model, tokens[idx], labels[idx],
-                      attn_bias=attn_bias[idx] if attn_bias is not None else None)
-            for idx in (train_idx, val_idx, test_idx))
+        (train_loss, train_acc), (val_loss, val_acc), (test_loss, test_acc) = _evaluate(
+            model, tokens, labels, attn_bias, (train_idx, val_idx, test_idx))
         t2 = time.perf_counter()
         rows.append({
             "epoch": epoch,

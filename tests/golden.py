@@ -7,8 +7,13 @@ again: `test_golden.py` checks each one equal to the builder named in its
 manifest also records a platform fingerprint, and `test_golden.py` compares
 hashes only where it matches.
 
-The test never writes the manifest. After a change that is meant to move
-the numerics, re-bless it explicitly and commit the diff:
+The test never writes the manifest. To see which hashes a change moves,
+without writing anything (exit status 1 if any moved):
+
+    PYTHONPATH=src python tests/golden.py --diff
+
+After a change that is meant to move the numerics, re-bless it explicitly
+and commit the diff:
 
     PYTHONPATH=src python tests/golden.py --bless
 """
@@ -90,7 +95,22 @@ def bless():
     print(f"wrote {len(manifest['metrics_sha256'])} hashes to {MANIFEST}")
 
 
+def diff() -> int:
+    """Print `name old → new` for every hash that differs from the manifest
+    (a name on one side only shows `-` on the other); 1 if any moved."""
+    manifest = load_manifest()
+    if manifest["fingerprint"] != fingerprint():
+        print("note: this platform differs from the blessed one", file=sys.stderr)
+    old = manifest["metrics_sha256"]
+    new = metrics_hashes()
+    moved = sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
+    for name in moved:
+        print(f"{name} {old.get(name, '-')} → {new.get(name, '-')}")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--bless"]:
-        sys.exit("usage: PYTHONPATH=src python tests/golden.py --bless")
-    bless()
+    commands = {"--bless": bless, "--diff": diff}
+    if len(sys.argv) != 2 or sys.argv[1] not in commands:
+        sys.exit("usage: PYTHONPATH=src python tests/golden.py --bless | --diff")
+    sys.exit(commands[sys.argv[1]]())

@@ -226,6 +226,28 @@ class TestNormalisationSemantics:
         assert np.max(np.abs(out.data.mean(axis=-1))) <= 1e-6
         assert np.max(np.abs(out.data.var(axis=-1) - 1.0)) <= 1e-4
 
+    def test_layer_norm_matches_two_pass_formula_bitwise(self, rng):
+        # the two-pass form centres x once for np.var and again for xhat;
+        # centring once must keep the output and every gradient's bytes
+        for shape in [(5, 16), (7, 3, 128), (2, 1, 253)]:
+            x = Tensor(rng.standard_normal(shape) * 3 + 1, requires_grad=True)
+            gamma = Tensor(rng.uniform(0.5, 1.5, shape[-1]), requires_grad=True)
+            beta = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+            g = rng.standard_normal(shape)
+            out = ad.layer_norm(x, gamma, beta)
+            grads = out._backward(g)
+
+            mean = x.data.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-5)
+            xhat = (x.data - mean) * inv
+            dxhat = g * gamma.data
+            gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            axes = tuple(range(g.ndim - 1))
+            want = [gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+            assert out.data.tobytes() == (gamma.data * xhat + beta.data).tobytes()
+            assert [a.tobytes() for a in grads] == [b.tobytes() for b in want]
+
     def test_softmax_rows_sum_to_one(self, rng):
         out = ad.softmax(Tensor(rng.standard_normal((4, 2, 9)) * 10))
         assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) <= 1e-6

@@ -4,7 +4,7 @@ import pytest
 from spdtok import autodiff as ad
 from spdtok import network
 from spdtok.autodiff import Tensor
-from spdtok.embedding import EmbeddingKind, embed, embed_backward
+from spdtok.embedding import EmbeddingKind, embed, embed_backward, embed_batch
 from spdtok.errors import DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch
 from spdtok.geometry import bw_distance
 from spdtok.network import (
@@ -307,6 +307,45 @@ class TestEvalMode:
             assert a.tobytes() == b.tobytes(), seed
 
 
+class TestRowInvariance:
+    """Eval-mode logits of a row are the same bits whatever rows share its
+    forward pass; `train._evaluate` runs all three splits in one pass on this."""
+
+    PARTS = [(400,), (280, 60, 60), (7, 143, 250)]
+
+    @staticmethod
+    def logits_in_parts(model, tokens, bias, sizes):
+        out, start = [], 0
+        for n in sizes:
+            sl = slice(start, start + n)
+            out.append(model.forward(tokens[sl], attn_bias=None if bias is None else bias[sl]).data)
+            start += n
+        return np.concatenate(out).tobytes()
+
+    def check(self, model, tokens, bias=None):
+        model.running_mean = np.random.default_rng(3).normal(0.0, 0.1, model.config.d_model)
+        model.running_var = np.random.default_rng(4).uniform(0.5, 2.0, model.config.d_model)
+        whole, *parts = [self.logits_in_parts(model, tokens, bias, s) for s in self.PARTS]
+        assert all(p == whole for p in parts)
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_single_token_default_model(self, rng, n_classes):
+        tokens = embed_batch(np.stack([random_spd(rng, 22) for _ in range(400)]),
+                             EmbeddingKind.LOG_EUCLIDEAN)[:, None, :]
+        self.check(SpdTokenTransformer(ModelConfig(d_token=253, n_classes=n_classes), seed=11),
+                   tokens)
+
+    @pytest.mark.parametrize("attention", ["standard", "geometric"])
+    def test_three_tokens_scaled_model(self, rng, attention):
+        mats = np.stack([random_spd(rng, 8) for _ in range(1200)])
+        tokens = embed_batch(mats, EmbeddingKind.LOG_EUCLIDEAN).reshape(400, 3, 36)
+        model = SpdTokenTransformer(ModelConfig(d_token=36, n_classes=2, seq_len=3,
+                                                attention=attention, token_kind="logeuclidean",
+                                                **SCALED_MODEL), seed=11)
+        bias = geometric_bias(tokens, "logeuclidean") if attention == "geometric" else None
+        self.check(model, tokens, bias)
+
+
 class TestAdam:
     def test_matches_scalar_reference(self, rng):
         # independent scalar reference implementing the textbook update
@@ -335,6 +374,34 @@ class TestAdam:
             mirror = adam_step(mirror, g, state, lr=1e-2)
             assert np.allclose(p.data, mirror, atol=1e-15)
             p.zero_grad()
+
+    def test_step_updates_parameters_in_place(self, rng):
+        p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        before, start = p.data, p.data.copy()
+        opt = Adam({"p": p}, lr=1e-2)
+        p.grad = rng.standard_normal((3, 4))
+        opt.step()
+        assert np.shares_memory(p.data, before)
+        assert np.all(before != start)
+
+    def test_tensor_without_grad_is_left_alone(self, rng):
+        live = Tensor(rng.standard_normal(5), requires_grad=True)
+        idle = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        opt = Adam({"live": live, "idle": idle}, lr=1e-2)
+        idle_before = idle.data.copy()
+        for _ in range(3):
+            live.grad = rng.standard_normal(5)
+            opt.step()
+        assert idle.data.tobytes() == idle_before.tobytes()
+        assert opt.state["idle"]["t"] == 0 and opt.state["live"]["t"] == 3
+        assert not np.any(opt.state["idle"]["m"]) and not np.any(opt.state["idle"]["v"])
+        # its count starts at 1 on its first gradient, as a fresh optimiser's would
+        g = rng.standard_normal((2, 3))
+        idle.grad = g
+        opt.step()
+        want = adam_step(idle_before, g, {"m": np.zeros((2, 3)), "v": np.zeros((2, 3)), "t": 0},
+                         lr=1e-2)
+        assert idle.data.tobytes() == want.tobytes()
 
     def test_minimises_quadratic(self):
         # convex oracle: f(x) = (x - 3)^2 reaches |x - 3| < 1e-3 within 500 steps

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from spdtok import autodiff as ad
 from spdtok.container import write_matrix_container
 from spdtok.data import (
     BandMixtureSpec,
@@ -120,6 +121,47 @@ class TestTokenize:
         with pytest.raises(InvalidSpec, match="labels"):
             tokenize(DataConfig(source="container", container_path=str(path)))
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.zeros((4, 1)), np.zeros(5)])
+    def test_container_labels_must_be_one_per_matrix(self, rng, tmp_path, labels):
+        mats = np.stack([random_spd(rng, 3) for _ in range(4)])
+        path = tmp_path / "mislabelled.spdt"
+        write_matrix_container(path, {"matrices": mats, "labels": labels})
+        with pytest.raises(InvalidSpec, match="labels"):
+            tokenize(DataConfig(source="container", container_path=str(path)))
+
+    @pytest.mark.parametrize("drop, missing", [("labels", "labels"),
+                                               ("segments", "segments"),
+                                               ("sample_rate", "sample_rate"),
+                                               ("all", "labels")])
+    def test_container_missing_entry_is_typed(self, rng, tmp_path, drop, missing):
+        entries = {"segments": rng.standard_normal((4, 3, 256)),
+                   "labels": np.array([0.0, 1.0, 0.0, 1.0]),
+                   "sample_rate": np.float64(256.0)}
+        entries = {} if drop == "all" else {k: v for k, v in entries.items() if k != drop}
+        path = tmp_path / "partial.spdt"
+        write_matrix_container(path, entries)
+        with pytest.raises(InvalidSpec, match=missing):
+            tokenize(DataConfig(source="container", container_path=str(path)))
+
+    def test_container_sample_rate_must_be_one_number(self, rng, tmp_path):
+        path = tmp_path / "two_rates.spdt"
+        write_matrix_container(path, {"segments": rng.standard_normal((4, 3, 256)),
+                                      "labels": np.array([0.0, 1.0, 0.0, 1.0]),
+                                      "sample_rate": np.array([256.0, 128.0])})
+        with pytest.raises(InvalidSpec, match="sample_rate"):
+            tokenize(DataConfig(source="container", container_path=str(path)))
+
+    @pytest.mark.parametrize("content", ["matrices", "segments"])
+    def test_container_without_trials_is_typed(self, tmp_path, content):
+        if content == "matrices":
+            entries = {"matrices": np.zeros((0, 3, 3))}
+        else:
+            entries = {"segments": np.zeros((0, 3, 256)), "sample_rate": np.float64(256.0)}
+        path = tmp_path / "empty.spdt"
+        write_matrix_container(path, {**entries, "labels": np.zeros(0)})
+        with pytest.raises(InvalidSpec, match="no trials"):
+            tokenize(DataConfig(source="container", container_path=str(path)))
+
     def test_container_22_channels_gives_253_tokens(self, rng, tmp_path):
         mats = np.stack([random_spd(rng, 22) for _ in range(4)])
         labels = np.array([0, 1, 0, 1], dtype=np.float64)
@@ -197,6 +239,57 @@ class TestRunSingle:
         model.load_state_arrays(arrays)
         logits = model.forward(tds.tokens[:4])
         assert np.all(np.isfinite(logits.data))
+
+
+def evaluate_split(model, tokens, labels, attn_bias, batch):
+    """Reference: one split alone, `batch` rows per forward pass."""
+    total_loss, correct = 0.0, 0
+    for start in range(0, len(labels), batch):
+        sl = slice(start, start + batch)
+        bias = attn_bias[sl] if attn_bias is not None else None
+        logits = model.forward(tokens[sl], training=False, attn_bias=bias)
+        total_loss += float(ad.cross_entropy(logits, labels[sl]).data) * len(labels[sl])
+        correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[sl]))
+    return total_loss / len(labels), correct / len(labels)
+
+
+class TestEvaluate:
+    def test_one_call_per_epoch(self, monkeypatch):
+        from spdtok import train
+
+        calls = []
+        real = train._evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train, "_evaluate", counting)
+        exp = small_exp(epochs=3)
+        run_single(exp, tokenize(exp.data), 5)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("attention", ["standard", "geometric"])
+    def test_splits_match_separate_evaluations_bitwise(self, monkeypatch, attention):
+        from spdtok import train
+        from spdtok.network import ModelConfig, SpdTokenTransformer
+
+        monkeypatch.setattr(train, "EVAL_BATCH", 16)
+        spec = BandMixtureSpec(channels=4, trials_per_class=40, samples=256, seed=3)
+        tds = tokenize(DataConfig(source="band_mixture", embedding="bwspd", multiband=True,
+                                  band_mixture=spec.to_dict()))
+        model_over, bias = train.geometric_setup(
+            dict(d_model=16, layers=1, heads=2, d_ff=16, attention=attention), tds)
+        model = SpdTokenTransformer(ModelConfig(d_token=10, n_classes=2, seq_len=3,
+                                                **model_over), seed=9)
+        rng = np.random.default_rng(0)
+        order = rng.permutation(80)
+        # the first split spans four EVAL_BATCH chunks; none is a multiple of 16
+        splits = (np.sort(order[:53]), np.sort(order[53:64]), np.sort(order[64:]))
+        got = train._evaluate(model, tds.tokens, tds.labels, bias, splits)
+        want = [evaluate_split(model, tds.tokens[idx], tds.labels[idx],
+                               bias[idx] if bias is not None else None, 16) for idx in splits]
+        assert got == want
 
 
 class TestTrainExperiment:
