@@ -301,9 +301,11 @@ def batch_norm_train(x, gamma, beta, eps=1e-5):
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     axes = tuple(range(x.data.ndim - 1))
     mean = x.data.mean(axis=axes)
-    var = x.data.var(axis=axes)
+    # centred once: the same operations, in the same order, as np.var's own
+    xhat = x.data - mean
+    var = (xhat * xhat).mean(axis=axes)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat *= inv
     out_data = gamma.data * xhat + beta.data
 
     def backward(g):

@@ -7,7 +7,11 @@ epsilon*I that keeps the result strictly positive definite.
 Band filtering is zero-phase frequency-domain masking: real FFT per channel,
 zero every bin outside [lo, hi], inverse FFT. Inside the band the filter is
 exactly the identity, there is no phase distortion and no ringing order to
-tune.
+tune. A band's covariance never forms the filtered signal: by Parseval it is
+the in-band cross-power of the one spectrum, 2 Re(Z Z^H) / (n (n - 1)) plus
+the ridge, where Z holds the in-band bins. No band reaches the DC or Nyquist
+bin (0 < lo < hi < fs/2), so the filtered signal has zero mean and every
+in-band bin counts twice. `bandpass` stays as the time-domain reference.
 
 The synthetic SPD generator samples in sqrt-space: class anchors mu_k are
 drawn with a controlled spectrum, rescaled so every anchor pair is at least
@@ -76,15 +80,52 @@ def analysis_bands(sample_rate_hz: float):
     ]
 
 
+def _band_mask(n: int, band: BandSpec) -> np.ndarray:
+    """Which rfft bins of n samples the band passes: lo <= f <= hi."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / band.sample_rate_hz)
+    return (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
+
+
 def bandpass(X: np.ndarray, band: BandSpec) -> np.ndarray:
     """Zero-phase FFT mask along the last axis; bins with lo <= f <= hi pass."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[-1]
-    freqs = np.fft.rfftfreq(n, d=1.0 / band.sample_rate_hz)
-    mask = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
     spectrum = np.fft.rfft(X, axis=-1)
-    spectrum *= mask
+    spectrum *= _band_mask(n, band)
     return np.fft.irfft(spectrum, n=n, axis=-1)
+
+
+def _band_bins(n: int, band: BandSpec) -> slice:
+    """The band's pass bins as a slice of the rfft spectrum viewed as
+    interleaved (re, im) float64 pairs; the bins are contiguous."""
+    idx = np.flatnonzero(_band_mask(n, band))
+    if idx.size == 0:
+        return slice(0, 0)
+    return slice(2 * idx[0], 2 * idx[-1] + 2)
+
+
+def band_covariances(X: np.ndarray, bands) -> np.ndarray:
+    """`estimate_covariance(bandpass(X, band))` for every band, from one FFT.
+
+    X is (..., channels, samples); the result is (..., len(bands), channels,
+    channels). With the in-band bins of each row laid out as (re, im) pairs,
+    Re(Z Z^H) is one real product W W^T; see the module docstring.
+    """
+    # C order, so the spectrum's last axis can be viewed as float pairs
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim < 2:
+        raise DimMismatch(f"expected (..., channels, samples), got {X.shape}")
+    n_ch, n_s = X.shape[-2:]
+    if n_s < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {n_s}")
+    pairs = np.fft.rfft(X, axis=-1).view(np.float64)
+    ridge = DEFAULT_RIDGE * np.eye(n_ch)
+    out = np.empty(X.shape[:-2] + (len(bands), n_ch, n_ch))
+    for b, band in enumerate(bands):
+        W = pairs[..., _band_bins(n_s, band)]
+        C = W @ np.swapaxes(W, -1, -2) * (2.0 / (n_s * (n_s - 1))) + ridge
+        out[..., b, :, :] = sym(C)
+    return out
 
 
 # -- segment batches --------------------------------------------------------------
@@ -260,8 +301,12 @@ def _spatial_pattern(rng, d):
 
 
 def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
+    """Each trial mixes one white source per band, kept to the band's bins and
+    scaled to unit broadband power, plus white noise. Mixing is linear, so it
+    is done on the in-band bins of one spectrum and a trial takes one inverse
+    FFT; the draws are three sources, then the noise."""
     rng = np.random.default_rng(spec.seed)
-    d = spec.channels
+    d, n_s = spec.channels, spec.samples
     bands = analysis_bands(spec.sample_rate_hz)
     P = _spatial_pattern(rng, d)
     Qp = _spatial_pattern(rng, d)
@@ -271,21 +316,24 @@ def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
         0: [P, Qp, R],
         1: [Qp, (1.0 + leak) * P, R],
     }
-    mixers = {cls: spectral_apply_batch(np.stack(patterns[cls]), SQRT) for cls in (0, 1)}
+    gains = np.array([1.0 / np.sqrt((band.hi_hz - band.lo_hz) / (spec.sample_rate_hz / 2.0))
+                      for band in bands])
+    mixers = {cls: gains[:, None, None] * spectral_apply_batch(np.stack(patterns[cls]), SQRT)
+              for cls in (0, 1)}
+    bins = [_band_bins(n_s, band) for band in bands]
     n = 2 * spec.trials_per_class
-    data = np.empty((n, d, spec.samples))
+    data = np.empty((n, d, n_s))
     labels = np.empty(n, dtype=np.int64)
     idx = 0
     for cls in (0, 1):
         for _ in range(spec.trials_per_class):
-            x = np.zeros((d, spec.samples))
-            for b, band in enumerate(bands):
-                source = bandpass(rng.standard_normal((d, spec.samples)), band)
-                frac = (band.hi_hz - band.lo_hz) / (spec.sample_rate_hz / 2.0)
-                source /= np.sqrt(frac)
-                x += mixers[cls][b] @ source
-            x += spec.noise_scale * rng.standard_normal((d, spec.samples))
-            data[idx] = x
+            spectrum = np.zeros((d, n_s // 2 + 1), dtype=np.complex128)
+            mixed = spectrum.view(np.float64)
+            for mixer, sel in zip(mixers[cls], bins):
+                source = np.fft.rfft(rng.standard_normal((d, n_s)), axis=-1).view(np.float64)
+                mixed[:, sel] += mixer @ source[:, sel]
+            data[idx] = np.fft.irfft(spectrum, n=n_s, axis=-1)
+            data[idx] += spec.noise_scale * rng.standard_normal((d, n_s))
             labels[idx] = cls
             idx += 1
     return SegmentBatch(data=data, labels=labels, sample_rate_hz=spec.sample_rate_hz)

@@ -34,7 +34,7 @@ from .data import (
     SegmentBatch,
     SynthSpec,
     analysis_bands,
-    bandpass,
+    band_covariances,
     estimate_covariance,
     split_indices,
     synth_band_mixture,
@@ -214,8 +214,9 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
         tokens = tokens[:, None, :]
     else:
         bands = analysis_bands(batch.sample_rate_hz)
-        covs = np.stack([estimate_covariance(bandpass(x, b))
-                         for x in batch.data for b in bands])
+        # one trial at a time: a spectrum of the whole batch would add ~26 MB
+        # of peak memory on the band-mixture task
+        covs = np.concatenate([band_covariances(x, bands) for x in batch.data])
         flat_tokens, diag = tokenize_matrices(covs, kind)
         tokens = flat_tokens.reshape(batch.n_trials, len(bands), -1)
     labels = np.asarray(batch.labels, dtype=np.int64)

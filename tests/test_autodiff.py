@@ -5,6 +5,8 @@ from spdtok import autodiff as ad
 from spdtok.autodiff import Tensor
 from spdtok.errors import GraphCycle, LabelOutOfRange, ShapeMismatch
 
+from conftest import stdout_at_blas_threads
+
 
 def numeric_grad(f, x, h=1e-6):
     g = np.zeros_like(x)
@@ -121,10 +123,6 @@ class TestLinear:
         assert (x.grad is not None) == input_needs_grad
 
     def test_bits_independent_of_blas_threads(self):
-        import os
-        import subprocess
-        import sys
-
         # a d = 56 projection: both inner dimensions (1596 forward, 400 rows for
         # gW) are longer than OpenBLAS's K block, which one thread and two split
         # differently
@@ -139,16 +137,7 @@ class TestLinear:
             "ad.linear(ad.reshape(out, (51200,)), w).backward()\n"
             "print(hashlib.sha256(out.data.tobytes() + W.grad.tobytes()).hexdigest())\n"
         )
-        src = os.path.dirname(os.path.dirname(ad.__file__))
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            proc = subprocess.run([sys.executable, "-c", child],
-                                  capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout)
+        digests = [stdout_at_blas_threads(["-c", child], t) for t in ("1", "2")]
         assert digests[0] == digests[1]
 
 
@@ -246,6 +235,28 @@ class TestNormalisationSemantics:
             axes = tuple(range(g.ndim - 1))
             want = [gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
             assert out.data.tobytes() == (gamma.data * xhat + beta.data).tobytes()
+            assert [a.tobytes() for a in grads] == [b.tobytes() for b in want]
+
+    def test_batch_norm_train_matches_two_pass_formula_bitwise(self, rng):
+        # as for layer_norm: centring once keeps the output, the batch
+        # statistics and every gradient's bytes
+        for shape in [(64, 16), (7, 3, 128), (40, 1, 56)]:
+            x = Tensor(rng.standard_normal(shape) * 3 + 1, requires_grad=True)
+            gamma = Tensor(rng.uniform(0.5, 1.5, shape[-1]), requires_grad=True)
+            beta = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+            g = rng.standard_normal(shape)
+            out, got_mean, got_var = ad.batch_norm_train(x, gamma, beta)
+            grads = out._backward(g)
+
+            axes = tuple(range(len(shape) - 1))
+            mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)
+            inv = 1.0 / np.sqrt(var + 1e-5)
+            xhat = (x.data - mean) * inv
+            dxhat = g * gamma.data
+            gx = inv * (dxhat - dxhat.mean(axis=axes) - xhat * (dxhat * xhat).mean(axis=axes))
+            want = [gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+            assert out.data.tobytes() == (gamma.data * xhat + beta.data).tobytes()
+            assert (got_mean.tobytes(), got_var.tobytes()) == (mean.tobytes(), var.tobytes())
             assert [a.tobytes() for a in grads] == [b.tobytes() for b in want]
 
     def test_softmax_rows_sum_to_one(self, rng):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from spdtok.data import (
+    DEFAULT_RIDGE,
     BandMixtureSpec,
     BandSpec,
     SynthSpec,
+    _spatial_pattern,
+    band_covariances,
     bandpass,
     estimate_covariance,
     nearest_anchor_accuracy,
@@ -15,9 +18,11 @@ from spdtok.data import (
     trial_key,
 )
 from spdtok.embedding import EmbeddingKind, embed, embed_batch
-from spdtok.errors import BandOutOfRange, InvalidSpec, TooFewSamples
+from spdtok.errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples
 from spdtok.geometry import bw_distance, dispersion_report
-from spdtok.spdcore import eig_sym
+from spdtok.spdcore import SQRT, eig_sym, spectral_apply_batch
+
+from conftest import stdout_at_blas_threads
 
 
 class TestEstimateCovariance:
@@ -86,9 +91,84 @@ class TestBandpass:
         assert (gamma.lo_hz, gamma.hi_hz) == (13.0, 30.0)
 
 
+def filtered_covariances(X, bands):
+    """The time-domain reference for band_covariances: filter, then estimate."""
+    return np.stack([estimate_covariance(bandpass(X, b)) for b in bands])
+
+
+def assert_relative_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestBandCovariances:
+    @pytest.mark.parametrize("n", [2048, 2047, 64, 63])
+    def test_matches_filter_then_covariance(self, rng, n):
+        X = 3.0 * rng.standard_normal((8, n)) + 1.5
+        bands = analysis_bands(256.0)
+        got = band_covariances(X, bands)
+        for g, w in zip(got, filtered_covariances(X, bands), strict=True):
+            assert_relative_close(g, w)
+
+    def test_band_without_bins_is_the_ridge(self, rng):
+        # 64 samples at 256 Hz put bins 4 Hz apart: none lies in [4.5, 7.5]
+        X = rng.standard_normal((3, 64))
+        band = BandSpec("between_bins", 4.5, 7.5, 256.0)
+        got = band_covariances(X, [band])
+        assert np.array_equal(got, [DEFAULT_RIDGE * np.eye(3)])
+        assert np.array_equal(got, filtered_covariances(X, [band]))
+
+    def test_constant_channel_is_ridge_only(self, rng):
+        # at 2048 samples the FFT of a constant row is exactly zero off the DC
+        # bin, and the mean of 2048 copies of -2.5 is exact
+        X = rng.standard_normal((4, 2048))
+        X[1] = -2.5
+        bands = analysis_bands(256.0)
+        got = band_covariances(X, bands)
+        ridge_row = DEFAULT_RIDGE * np.eye(4)[1]
+        for C in [*got, estimate_covariance(X)]:
+            assert np.array_equal(C[1], ridge_row) and np.array_equal(C[:, 1], ridge_row)
+        for g, w in zip(got, filtered_covariances(X, bands), strict=True):
+            assert_relative_close(g, w)
+
+    def test_stack_rows_equal_one_segment_calls(self, rng):
+        X = rng.standard_normal((2, 3, 8, 2048))
+        bands = analysis_bands(256.0)
+        got = band_covariances(X, bands)
+        assert got.shape == (2, 3, 3, 8, 8)
+        for i in np.ndindex(2, 3):
+            assert got[i].tobytes() == band_covariances(X[i], bands).tobytes()
+
+    def test_memory_layout_does_not_matter(self, rng):
+        X = rng.standard_normal((512, 8))
+        bands = analysis_bands(256.0)
+        got = band_covariances(X.T, bands)
+        assert got.tobytes() == band_covariances(np.ascontiguousarray(X.T), bands).tobytes()
+
+    def test_bits_independent_of_blas_threads(self):
+        # 8192 samples give the gamma band 545 bins, an inner dimension of 1090
+        # (re, im) pairs: longer than OpenBLAS's K block
+        child = (
+            "import hashlib, numpy as np\n"
+            "from spdtok.data import analysis_bands, band_covariances\n"
+            "X = np.random.default_rng(7).standard_normal((8, 8192))\n"
+            "C = band_covariances(X, analysis_bands(256.0))\n"
+            "print(hashlib.sha256(C.tobytes()).hexdigest())\n"
+        )
+        digests = [stdout_at_blas_threads(["-c", child], t) for t in ("1", "2")]
+        assert digests[0] == digests[1]
+
+    def test_input_shape_checks(self):
+        bands = analysis_bands(256.0)
+        with pytest.raises(DimMismatch):
+            band_covariances(np.ones(64), bands)
+        with pytest.raises(TooFewSamples):
+            band_covariances(np.ones((3, 1)), bands)
+
+
 def band_tokens(X, bands, kind):
     """One token per band, the way train.tokenize builds multi-band sequences."""
-    return embed_batch(np.stack([estimate_covariance(bandpass(X, b)) for b in bands]), kind)
+    return embed_batch(band_covariances(X, bands), kind)
 
 
 class TestMultibandTokens:
@@ -224,13 +304,47 @@ class TestBandMixture:
             spread = np.mean(np.linalg.norm(within.reshape(len(within), -1), axis=1))
             return np.linalg.norm(mean0 - mean1) / spread
 
-        bands = analysis_bands(spec.sample_rate_hz)
-        mu_ratio = ratio(np.stack([estimate_covariance(bandpass(x, bands[0])) for x in batch.data]))
-        beta_ratio = ratio(np.stack([estimate_covariance(bandpass(x, bands[1])) for x in batch.data]))
+        covs = band_covariances(batch.data, analysis_bands(spec.sample_rate_hz))
+        mu_ratio = ratio(covs[:, 0])
+        beta_ratio = ratio(covs[:, 1])
         broad_ratio = ratio(np.stack([estimate_covariance(x) for x in batch.data]))
         assert mu_ratio > 1.2 and beta_ratio > 1.2
         assert broad_ratio < 0.8
         assert broad_ratio < 0.5 * min(mu_ratio, beta_ratio)
+
+    @pytest.mark.parametrize("spec", [
+        BandMixtureSpec(trials_per_class=3, samples=2048, seed=55, broadband_leak=0.2),
+        BandMixtureSpec(channels=4, trials_per_class=2, samples=1023, seed=3),
+    ])
+    def test_matches_time_domain_mixture(self, spec):
+        want_data, want_labels = time_domain_band_mixture(spec)
+        got = synth_band_mixture(spec)
+        assert np.array_equal(got.labels, want_labels)
+        assert np.max(np.abs(got.data - want_data)) <= 1e-12 * np.max(np.abs(want_data))
+
+
+def time_domain_band_mixture(spec):
+    """The mixture built in the time domain: each band's source is filtered
+    with `bandpass`, rescaled, mixed and summed; the draws are the same."""
+    rng = np.random.default_rng(spec.seed)
+    d = spec.channels
+    bands = analysis_bands(spec.sample_rate_hz)
+    P, Qp, R = (_spatial_pattern(rng, d) for _ in range(3))
+    leak = spec.broadband_leak
+    patterns = {0: [P, Qp, R], 1: [Qp, (1.0 + leak) * P, R]}
+    mixers = {cls: spectral_apply_batch(np.stack(patterns[cls]), SQRT) for cls in (0, 1)}
+    data, labels = [], []
+    for cls in (0, 1):
+        for _ in range(spec.trials_per_class):
+            x = np.zeros((d, spec.samples))
+            for b, band in enumerate(bands):
+                source = bandpass(rng.standard_normal((d, spec.samples)), band)
+                source /= np.sqrt((band.hi_hz - band.lo_hz) / (spec.sample_rate_hz / 2.0))
+                x += mixers[cls][b] @ source
+            x += spec.noise_scale * rng.standard_normal((d, spec.samples))
+            data.append(x)
+            labels.append(cls)
+    return np.stack(data), np.array(labels)
 
 
 class TestSplits:

@@ -20,6 +20,8 @@ from spdtok.verify import (
     run_verification,
 )
 
+from conftest import stdout_at_blas_threads
+
 
 def test_full_verification_passes_within_budget():
     import time
@@ -66,6 +68,16 @@ def test_deterministic_given_seed():
     b, _ = run_verification(name_filter="pair_counts", seed=3)
     assert json.dumps(results_to_json(a), sort_keys=True) == \
         json.dumps(results_to_json(b), sort_keys=True)
+
+
+def test_json_bytes_independent_of_blas_threads(tmp_path):
+    blobs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"verify_{threads}.json"
+        stdout_at_blas_threads(["-m", "spdtok.cli", "verify", "--seed", "0",
+                                "--json", str(path)], threads)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_mutation_naive_log_dk_fails_conditioning_check():
