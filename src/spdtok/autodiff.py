@@ -20,8 +20,9 @@ dimension in fixed blocks of K_BLOCK (one GEMM when it is no longer): OpenBLAS
 cuts a longer inner dimension into different blocks with one thread than with
 several, so a d = 56 projection (1596 inputs) would otherwise change its bits
 with the BLAS thread count. An output narrower than MIN_COLS is formed
-against weights padded with zero columns, so that, as for wider outputs, a
-row's result does not depend on how many rows share the product.
+against weights padded with zero columns, and a one-row product with a zero
+row, so that, as for wider outputs and more rows, a row's result does not
+depend on how many rows share the product.
 """
 
 from __future__ import annotations
@@ -153,7 +154,12 @@ K_BLOCK = 256
 
 
 def _matmul(a, b):
-    """a @ b for 2-D a, b, summing the inner dimension block by block in order."""
+    """a @ b for 2-D a, b, summing the inner dimension block by block in order.
+
+    numpy sends a one-row product to a matrix-vector routine whose sums differ
+    from GEMM's, so one row goes through GEMM with a zero row under it."""
+    if a.shape[0] == 1:
+        return _matmul(np.concatenate([a, np.zeros_like(a)]), b)[:1]
     out = a[:, :K_BLOCK] @ b[:K_BLOCK]
     for s in range(K_BLOCK, a.shape[1], K_BLOCK):
         out += a[:, s:s + K_BLOCK] @ b[s:s + K_BLOCK]

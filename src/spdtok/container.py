@@ -18,8 +18,9 @@ end of data, including dims that declare more payload than the file has left
 (checked before the payload is read, so the reader needs a seekable file),
 ChecksumMismatch when a payload fails its CRC, BadMagic / VersionUnsupported
 on header problems, ContainerError on an entry name or checkpoint header that
-does not decode or on an entry name that repeats, and never return partial
-results.
+does not decode, on an entry name that repeats, or on bytes left after the
+last entry (so an entry count flipped downward is caught too), and never
+return partial results.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ def read_matrix_container(path_or_file) -> dict:
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
                 raise ChecksumMismatch(f"entry {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if f.read(1):
+            raise ContainerError(f"bytes left after the last of {count} entries")
         return out
     finally:
         if own:

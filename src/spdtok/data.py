@@ -13,6 +13,15 @@ the ridge, where Z holds the in-band bins. No band reaches the DC or Nyquist
 bin (0 < lo < hi < fs/2), so the filtered signal has zero mean and every
 in-band bin counts twice. `bandpass` stays as the time-domain reference.
 
+The band mixture never forms a band's white source in the time domain. For
+white N(0, 1) noise x of length n, the rfft bin X_k = sum_t x_t e^(-2 pi i k t / n)
+with 0 < k < n/2 has real and imaginary parts that are Gaussian with variance
+sum_t cos^2 = sum_t sin^2 = n/2, and by the orthogonality of the Fourier basis
+all of them are uncorrelated, hence independent. No band holds the DC or
+Nyquist bin, so drawing a band's bins directly as independent N(0, n/2) pairs
+gives the source's in-band spectrum the same law as filtering white noise;
+only the sampled values differ.
+
 The synthetic SPD generator samples in sqrt-space: class anchors mu_k are
 drawn with a controlled spectrum, rescaled so every anchor pair is at least
 `separation` apart in transport distance (the distance is 1-homogeneous in
@@ -300,11 +309,19 @@ def _spatial_pattern(rng, d):
     return spectral_reconstruct(random_orthogonal(rng, d), np.geomspace(1.0, 6.0, d), IDENTITY)
 
 
+def _in_band_white(rng, d: int, n: int, sel: slice) -> np.ndarray:
+    """The bins `sel` (a `_band_bins` slice) of rfft(white N(0, 1) noise of
+    shape (d, n)), drawn directly: independent N(0, n/2) parts, since no
+    band holds the DC or Nyquist bin (see the module docstring)."""
+    return np.sqrt(n / 2.0) * rng.standard_normal((d, sel.stop - sel.start))
+
+
 def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
     """Each trial mixes one white source per band, kept to the band's bins and
-    scaled to unit broadband power, plus white noise. Mixing is linear, so it
-    is done on the in-band bins of one spectrum and a trial takes one inverse
-    FFT; the draws are three sources, then the noise."""
+    scaled to unit broadband power, plus white noise. A band's source only
+    ever enters through its in-band bins, so those are drawn directly
+    (`_in_band_white`), mixed on one spectrum, and a trial takes one inverse
+    FFT; the draws are band 0, 1 and 2, then the time-domain noise."""
     rng = np.random.default_rng(spec.seed)
     d, n_s = spec.channels, spec.samples
     bands = analysis_bands(spec.sample_rate_hz)
@@ -330,8 +347,7 @@ def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
             spectrum = np.zeros((d, n_s // 2 + 1), dtype=np.complex128)
             mixed = spectrum.view(np.float64)
             for mixer, sel in zip(mixers[cls], bins):
-                source = np.fft.rfft(rng.standard_normal((d, n_s)), axis=-1).view(np.float64)
-                mixed[:, sel] += mixer @ source[:, sel]
+                mixed[:, sel] += mixer @ _in_band_white(rng, d, n_s, sel)
             data[idx] = np.fft.irfft(spectrum, n=n_s, axis=-1)
             data[idx] += spec.noise_scale * rng.standard_normal((d, n_s))
             labels[idx] = cls

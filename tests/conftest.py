@@ -41,5 +41,5 @@ def stdout_at_blas_threads(argv, threads: str) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr + proc.stdout
     return proc.stdout

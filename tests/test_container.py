@@ -133,3 +133,22 @@ def test_duplicate_entry_name(rng):
     blob = b"SPDT" + struct.pack("<II", 1, 2) + entry + entry
     with pytest.raises(ContainerError, match="duplicate entry name 'a'"):
         read_matrix_container(io.BytesIO(blob))
+
+
+def test_entry_count_flipped_downward(rng):
+    blob = bytearray(container_bytes({"a": rng.standard_normal(3), "b": rng.standard_normal(2)}))
+    blob[8:12] = struct.pack("<I", 1)
+    with pytest.raises(ContainerError, match="bytes left after the last of 1 entries"):
+        read_matrix_container(io.BytesIO(bytes(blob)))
+
+
+@pytest.mark.parametrize("tail", [b"\x00", b"SPDT" + struct.pack("<II", 1, 0)])
+def test_bytes_after_last_entry(rng, tmp_path, tail):
+    blob = container_bytes({"a": rng.standard_normal(3)}) + tail
+    with pytest.raises(ContainerError, match="bytes left"):
+        read_matrix_container(io.BytesIO(blob))
+    path = tmp_path / "model.spdt"
+    save_checkpoint(path, {"kind": "demo"}, {"w": np.ones(2)})
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ContainerError, match="bytes left"):
+        load_checkpoint(path)

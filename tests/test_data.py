@@ -6,6 +6,8 @@ from spdtok.data import (
     BandMixtureSpec,
     BandSpec,
     SynthSpec,
+    _band_bins,
+    _in_band_white,
     _spatial_pattern,
     band_covariances,
     bandpass,
@@ -322,26 +324,59 @@ class TestBandMixture:
         assert np.array_equal(got.labels, want_labels)
         assert np.max(np.abs(got.data - want_data)) <= 1e-12 * np.max(np.abs(want_data))
 
+    @pytest.mark.parametrize("n", [256, 255])
+    @pytest.mark.parametrize("band", [0, 2])
+    @pytest.mark.parametrize("source", ["drawn", "rfft"])
+    def test_in_band_draw_has_the_law_of_white_noise_bins(self, n, band, source):
+        # For white N(0, 1) noise of length n, the rfft bins with 0 < k < n/2
+        # have independent real and imaginary parts, each N(0, n/2). The
+        # direct draw and the rfft of white noise must both show that law:
+        # with N samples of known zero mean, a normalised variance has
+        # standard error sqrt(2/N), a correlation and a mean 1/sqrt(N); every
+        # entry must lie within 5 of them.
+        N = 4000
+        rng = np.random.default_rng(20261019)
+        sel = _band_bins(n, analysis_bands(256.0)[band])
+        if source == "drawn":
+            Z = _in_band_white(rng, N, n, sel)
+        else:
+            Z = np.fft.rfft(rng.standard_normal((N, n)), axis=-1).view(np.float64)[:, sel]
+        Z = Z / np.sqrt(n / 2.0)
+        assert Z.shape == (N, sel.stop - sel.start)
+        R = Z.T @ Z / N
+        off = R[~np.eye(len(R), dtype=bool)]
+        assert np.max(np.abs(np.diag(R) - 1.0)) <= 5 * np.sqrt(2.0 / N)
+        assert np.max(np.abs(off)) <= 5 / np.sqrt(N)
+        assert np.max(np.abs(Z.mean(axis=0))) <= 5 / np.sqrt(N)
+
 
 def time_domain_band_mixture(spec):
-    """The mixture built in the time domain: each band's source is filtered
-    with `bandpass`, rescaled, mixed and summed; the draws are the same."""
+    """The mixture built in the time domain from the same draws: each band's
+    source is the inverse FFT of its drawn in-band bins, which `bandpass`
+    passes unchanged, and is rescaled, mixed and summed; then the noise."""
     rng = np.random.default_rng(spec.seed)
-    d = spec.channels
+    d, n = spec.channels, spec.samples
     bands = analysis_bands(spec.sample_rate_hz)
     P, Qp, R = (_spatial_pattern(rng, d) for _ in range(3))
     leak = spec.broadband_leak
     patterns = {0: [P, Qp, R], 1: [Qp, (1.0 + leak) * P, R]}
     mixers = {cls: spectral_apply_batch(np.stack(patterns[cls]), SQRT) for cls in (0, 1)}
+    freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate_hz)
     data, labels = [], []
     for cls in (0, 1):
         for _ in range(spec.trials_per_class):
-            x = np.zeros((d, spec.samples))
+            x = np.zeros((d, n))
             for b, band in enumerate(bands):
-                source = bandpass(rng.standard_normal((d, spec.samples)), band)
+                k = np.flatnonzero((freqs >= band.lo_hz) & (freqs <= band.hi_hz))
+                parts = np.sqrt(n / 2.0) * rng.standard_normal((d, 2 * k.size))
+                spectrum = np.zeros((d, n // 2 + 1), dtype=np.complex128)
+                spectrum[:, k] = parts[:, 0::2] + 1j * parts[:, 1::2]
+                source = np.fft.irfft(spectrum, n=n, axis=-1)
+                scale = np.max(np.abs(source))
+                assert np.max(np.abs(bandpass(source, band) - source)) <= 1e-12 * scale
                 source /= np.sqrt((band.hi_hz - band.lo_hz) / (spec.sample_rate_hz / 2.0))
                 x += mixers[cls][b] @ source
-            x += spec.noise_scale * rng.standard_normal((d, spec.samples))
+            x += spec.noise_scale * rng.standard_normal((d, n))
             data.append(x)
             labels.append(cls)
     return np.stack(data), np.array(labels)

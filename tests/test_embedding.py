@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdtok.embedding import (
     EmbeddingKind,
@@ -13,6 +15,7 @@ from spdtok.embedding import (
     vech_batch,
 )
 from spdtok.errors import DimMismatch, NonFinite, NotSymmetric
+from spdtok.spdcore import CLIP_FLOOR
 
 from conftest import random_spd, random_symmetric
 
@@ -160,3 +163,36 @@ class TestEmbedBackward:
             want = (loss(C + h * E) - loss(C - h * E)) / (2.0 * h)
             got = float(np.sum(grad * E))
             assert abs(got - want) <= max(1e-5, 1e-2 * abs(want))
+
+
+class TestOneByOneAndZeroStacks:
+    """Tokens of d = 1 stacks and of stacks of zero matrices: the eigenvalue
+    is floored at CLIP_FLOOR for sqrt and log tokens, and kept as it is for
+    flat ones."""
+
+    FLOORED = {EmbeddingKind.BWSPD: lambda c: np.sqrt(np.maximum(c, CLIP_FLOOR)),
+               EmbeddingKind.LOG_EUCLIDEAN: lambda c: np.log(np.maximum(c, CLIP_FLOOR)),
+               EmbeddingKind.EUCLIDEAN: lambda c: c}
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, CLIP_FLOOR])),
+                    min_size=1, max_size=6),
+           st.sampled_from(list(EmbeddingKind)))
+    def test_one_by_one_token_is_the_floored_entry(self, values, kind):
+        c = np.array(values)
+        tokens = embed_batch(c.reshape(-1, 1, 1), kind)
+        assert tokens.shape == (len(c), 1)
+        assert np.array_equal(tokens[:, 0], self.FLOORED[kind](c))
+
+    @pytest.mark.parametrize("kind", list(EmbeddingKind))
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 1), (4, 5)])
+    def test_zero_stack_tokens(self, kind, n, d):
+        tokens, values = embed_batch(np.zeros((n, d, d)), kind, return_values=True)
+        want = vech(self.FLOORED[kind](0.0) * np.eye(d))
+        assert tokens.shape == (n, token_length(d))
+        assert all(np.allclose(row, want, rtol=1e-15, atol=1e-15) for row in tokens)
+        assert all(row.tobytes() == tokens[0].tobytes() for row in tokens)
+        if kind is EmbeddingKind.EUCLIDEAN:
+            assert values is None
+        else:
+            assert np.array_equal(values, np.zeros((n, d)))

@@ -16,7 +16,7 @@ from spdtok.geometry import (
     distortion_check,
     logeuclidean_distance,
 )
-from spdtok.spdcore import SQRT, spectral_apply, sym
+from spdtok.spdcore import CLIP_FLOOR, SQRT, spectral_apply, sym
 
 from conftest import random_orthogonal, random_spd, random_symmetric
 
@@ -171,6 +171,22 @@ class TestBarycenter:
         assert np.array_equal(err.value.last, mu1)
         assert err.value.residual == float(np.linalg.norm(mu0 - mu1))
         assert err.value.residual > 1e-10 * np.linalg.norm(mu0)
+
+    def test_zero_stack_is_the_clipped_cone_barycenter(self):
+        # every zero matrix clips to CLIP_FLOOR * I, its own barycenter
+        zeros = np.zeros((3, 4, 4))
+        assert np.array_equal(bw_barycenter(zeros), CLIP_FLOOR * np.eye(4))
+        rep = dispersion_report(zeros)
+        assert rep.epsilon == 0.0 and rep.sqrt_mean_gap == 0.0
+
+    @pytest.mark.parametrize("low", [-4.0, 0.0, 1e-14])
+    def test_input_below_the_clip_is_clipped_onto_the_cone(self, low):
+        # commuting inputs: sqrt(mu) is the mean of the clipped inputs' roots;
+        # the 1e-8 bar is far above the 1e-10 tolerance and far below the
+        # 4e-7 error of clipping sqrt(mu) C sqrt(mu) at CLIP_FLOOR instead
+        Cs = np.stack([np.diag([4.0, low, 1.0]), np.diag([4.0, 8.0, 9.0])])
+        roots = (np.sqrt([4.0, max(low, CLIP_FLOOR), 1.0]) + np.sqrt([4.0, 8.0, 9.0])) / 2
+        assert np.max(np.abs(bw_barycenter(Cs) - np.diag(roots ** 2))) <= 1e-8
 
 
 class TestDispersionReport:

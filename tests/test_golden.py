@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from conftest import stdout_at_blas_threads
 from golden import ROOT, fingerprint, load_manifest, metrics_hashes
 from spdtok import tasks
 from spdtok.train import ExperimentConfig
@@ -45,15 +46,26 @@ def test_config_without_builder_twin_fails(tmp_path):
     assert config_mismatches(paths) == ["stray", "learning_sanity"]
 
 
-def test_metrics_json_matches_golden_manifest():
-    manifest = load_manifest()
+def skip_unless_blessed_platform(manifest):
     here = fingerprint()
     moved = sorted(k for k in set(here) | set(manifest["fingerprint"])
                    if here.get(k) != manifest["fingerprint"].get(k))
     if moved:
         pytest.skip(f"platform differs from the blessed one in {', '.join(moved)}; "
                     f"hashes are only comparable on the blessed platform")
+
+
+def test_metrics_json_matches_golden_manifest():
+    manifest = load_manifest()
+    skip_unless_blessed_platform(manifest)
     got = metrics_hashes()
     assert sorted(got) == sorted(manifest["metrics_sha256"])
     changed = [name for name in got if got[name] != manifest["metrics_sha256"][name]]
     assert not changed, f"metrics.json moved for {changed}; re-bless only if intended"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_diff_passes_at_blas_threads(threads):
+    # `golden.py --diff` exits 1, listing the moved hashes, if any moved
+    skip_unless_blessed_platform(load_manifest())
+    stdout_at_blas_threads([os.path.join(ROOT, "tests", "golden.py"), "--diff"], threads)

@@ -345,6 +345,28 @@ class TestRowInvariance:
         bias = geometric_bias(tokens, "logeuclidean") if attention == "geometric" else None
         self.check(model, tokens, bias)
 
+    @pytest.mark.parametrize("case", ["default_253", "scaled_t3_36", "bn_embed_1596"])
+    def test_one_row_matches_its_row_in_a_batch(self, rng, case):
+        # a one-row product must not take numpy's matrix-vector route
+        if case == "default_253":
+            mats = np.stack([random_spd(rng, 22) for _ in range(400)])
+            tokens = embed_batch(mats, EmbeddingKind.LOG_EUCLIDEAN)[:, None, :]
+            config = ModelConfig(d_token=253, n_classes=4)
+        elif case == "scaled_t3_36":
+            mats = np.stack([random_spd(rng, 8) for _ in range(1200)])
+            tokens = embed_batch(mats, EmbeddingKind.LOG_EUCLIDEAN).reshape(400, 3, 36)
+            config = ModelConfig(d_token=36, n_classes=2, seq_len=3, **SCALED_MODEL)
+        else:
+            mats = np.stack([random_spd(rng, 56) for _ in range(400)])
+            tokens = embed_batch(mats, EmbeddingKind.BWSPD)[:, None, :]
+            config = ModelConfig(d_token=1596, n_classes=4, use_bn_embed=True)
+        model = SpdTokenTransformer(config, seed=11)
+        model.running_mean = np.random.default_rng(3).normal(0.0, 0.1, config.d_model)
+        model.running_var = np.random.default_rng(4).uniform(0.5, 2.0, config.d_model)
+        whole = model.forward(tokens).data
+        for i in (0, 1, 200, 399):
+            assert model.forward(tokens[i:i + 1]).data.tobytes() == whole[i:i + 1].tobytes()
+
 
 class TestAdam:
     def test_matches_scalar_reference(self, rng):

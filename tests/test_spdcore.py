@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdtok import spdcore
 from spdtok.errors import DimMismatch, DomainError, NoConvergence, NonFinite
@@ -312,3 +314,66 @@ class TestSpectralBackward:
             grad = spectral_backward(eig, fn, G)
             bound = gradient_norm_bound(fn, max(eig.values.min(), spdcore.CLIP_FLOOR))
             assert np.linalg.norm(grad) <= bound * 1.05
+
+
+# d = 1 values: any finite number, the clip floor and zero included
+ONE_BY_ONE = st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, spdcore.CLIP_FLOOR])),
+                      min_size=1, max_size=6).map(lambda v: np.array(v).reshape(-1, 1, 1))
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+class TestOneByOneAndZeroStacks:
+    """d = 1 and stacks of zero matrices: the smallest spectra and the ones
+    that sit wholly below the clip floor."""
+
+    @PROPERTY
+    @given(ONE_BY_ONE)
+    def test_eig_one_by_one_is_the_entry(self, Cs):
+        V, vals = eig_sym_batch(Cs)
+        assert np.array_equal(V, np.ones_like(Cs))
+        assert np.array_equal(vals, Cs[:, 0])
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 1), (4, 5)])
+    def test_eig_zero_stack(self, n, d):
+        V, vals = eig_sym_batch(np.zeros((n, d, d)))
+        assert np.array_equal(vals, np.zeros((n, d)))
+        assert np.max(np.abs(np.swapaxes(V, 1, 2) @ V - np.eye(d))) <= 1e-15
+        one = eig_sym(np.zeros((d, d)))
+        assert all(V[i].tobytes() == one.vectors.tobytes() for i in range(n))
+
+    @PROPERTY
+    @given(ONE_BY_ONE, st.floats(-10.0, 10.0), st.sampled_from([SQRT, LOG, IDENTITY]))
+    def test_backward_one_by_one_is_the_clipped_derivative(self, Cs, g, fn):
+        for C in Cs:
+            got = spectral_backward(eig_sym(C), fn, np.array([[g]]))
+            want = fn.df(max(C[0, 0], spdcore.CLIP_FLOOR)) * g
+            assert got.shape == (1, 1)
+            assert abs(got[0, 0] - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("fn, slope", [(SQRT, 0.5e6), (LOG, 1e12), (IDENTITY, 1.0)])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_backward_at_zero_matrix_is_the_floor_slope(self, rng, fn, slope, d):
+        # every eigenvalue is floored at CLIP_FLOOR, so the divided differences
+        # all equal f'(CLIP_FLOOR) and the sandwich is that multiple of sym(G)
+        G = rng.standard_normal((d, d))
+        got = spectral_backward(eig_sym(np.zeros((d, d))), fn, G)
+        assert np.allclose(got, slope * sym(G), rtol=1e-14, atol=0.0)
+        assert np.array_equal(got, got.T)
+
+    @PROPERTY
+    @given(st.floats(1e-12, 1e6), st.sampled_from([SQRT, LOG, IDENTITY]))
+    def test_dk_one_by_one(self, lam, fn):
+        K = dk_matrix(np.array([lam]), fn)
+        assert K.entries.shape == (1, 1)
+        assert abs(K.entries[0, 0] - fn.df(lam)) <= 1e-15 * fn.df(lam)
+        assert (K.pairs, K.taylor_hits, K.branch_fraction, K.entry_range_ratio) == (0, 0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("fn", [SQRT, LOG, IDENTITY])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_dk_of_zero_and_floored_spectra(self, fn, d):
+        with pytest.raises(DomainError):
+            dk_matrix(np.zeros(d), fn)
+        K = dk_matrix(np.full(d, spdcore.CLIP_FLOOR), fn)
+        assert np.allclose(K.entries, fn.df(spdcore.CLIP_FLOOR), rtol=1e-15, atol=0.0)
+        assert np.array_equal(K.entries, K.entries.T)
+        assert K.taylor_hits == (K.pairs if fn is LOG else 0)
