@@ -4,24 +4,26 @@ For each dimension and spectrum profile (well separated vs clustered), times
 the forward matrix function and the gradient computation for sqrt and log,
 reports the off-diagonal pair count d(d-1)/2, the fraction of pairs falling
 into the log near-degeneracy branch, and the log/sqrt gradient-time ratio.
+Each time is one stacked call over all trials, reported per matrix.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import InvalidSpec
 from .spdcore import (
+    CLIP_FLOOR,
     IDENTITY,
     LOG,
     SQRT,
-    dk_matrix,
-    eig_sym,
+    EigenPair,
+    _dk_kernel,
+    eig_sym_batch,
     random_orthogonal,
-    spectral_apply,
+    spectral_apply_batch,
     spectral_backward,
     spectral_reconstruct,
     sym,
@@ -30,20 +32,7 @@ from .spdcore import (
 PROFILES = ("separated", "clustered")
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    dim: int
-    profile: str
-    fn: str
-    forward_ms: float
-    grad_ms: float
-    p_branch: float
-    pairs: int
-
-
 def _profile_spectrum(rng, d, profile):
-    if d == 1:
-        return np.array([1.0])
     if profile == "clustered":
         groups = max(2, d // 4)
         base = np.repeat(np.geomspace(1.0, 100.0, groups), int(np.ceil(d / groups)))[:d]
@@ -56,43 +45,37 @@ def _random_with_spectrum(rng, lam):
     return spectral_reconstruct(random_orthogonal(rng, lam.size), lam, IDENTITY)
 
 
+def _ms_per_matrix(call, trials):
+    t0 = time.perf_counter()
+    call()
+    return (time.perf_counter() - t0) / trials * 1e3
+
+
 def run_bench(dims, trials: int = 20, seed: int = 0) -> dict:
     dims = sorted(set(int(d) for d in dims))
-    if any(d < 2 for d in dims):
-        raise InvalidSpec("bench dims must be >= 2")
+    if trials < 1 or any(d < 2 for d in dims):
+        raise InvalidSpec("bench needs trials >= 1 and dims >= 2")
     rng = np.random.default_rng(seed)
     rows = []
     ratios = []
     for d in dims:
+        pairs = d * (d - 1) // 2
         for profile in PROFILES:
-            mats = [_random_with_spectrum(rng, _profile_spectrum(rng, d, profile))
-                    for _ in range(trials)]
-            upstream = [sym(rng.standard_normal((d, d))) for _ in range(trials)]
-            eigs = [eig_sym(C) for C in mats]
+            mats = np.stack([_random_with_spectrum(rng, _profile_spectrum(rng, d, profile))
+                             for _ in range(trials)])
+            upstream = sym(rng.standard_normal((trials, d, d)))
+            eig = EigenPair(*eig_sym_batch(mats))
             grad_ms = {}
             for fn in (SQRT, LOG):
-                t0 = time.perf_counter()
-                for C in mats:
-                    spectral_apply(C, fn)
-                fwd = (time.perf_counter() - t0) / trials * 1e3
-                t0 = time.perf_counter()
-                for eig, G in zip(eigs, upstream):
-                    spectral_backward(eig, fn, G)
-                grd = (time.perf_counter() - t0) / trials * 1e3
-                hits = 0
-                pairs = 0
-                for eig in eigs:
-                    dk = dk_matrix(np.maximum(eig.values, 1e-12), fn)
-                    hits += dk.taylor_hits
-                    pairs += dk.pairs
-                rows.append(BenchRow(dim=d, profile=profile, fn=fn.name,
-                                     forward_ms=fwd, grad_ms=grd,
-                                     p_branch=hits / pairs if pairs else 0.0,
-                                     pairs=d * (d - 1) // 2))
+                fwd = _ms_per_matrix(lambda: spectral_apply_batch(mats, fn), trials)
+                grd = _ms_per_matrix(lambda: spectral_backward(eig, fn, upstream), trials)
+                _, hits = _dk_kernel(np.maximum(eig.values, CLIP_FLOOR), fn)
+                rows.append(dict(dim=d, profile=profile, fn=fn.name, forward_ms=fwd, grad_ms=grd,
+                                 p_branch=int(hits.sum()) / (trials * pairs), pairs=pairs))
                 grad_ms[fn.name] = grd
             ratios.append({"dim": d, "profile": profile,
                            "grad_time_ratio_log_over_sqrt": grad_ms["log"] / grad_ms["sqrt"]})
-    return {"rows": [asdict(r) for r in rows], "ratios": ratios,
+    return {"rows": rows, "ratios": ratios,
             "trials": trials, "seed": seed}
 
 

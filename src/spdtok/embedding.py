@@ -21,6 +21,8 @@ Kernels and wrappers: only this module knows the packing order, kept in
 (one stacked eigendecomposition, then `spdcore.spectral_reconstruct`) and
 `embed` wraps it on a one-matrix stack. `reconstruct_spd` is the token-to-SPD
 map over a (n, D) stack and wraps a single token the same way.
+`embed_backward` (the `vech_adjoint`, then `spdcore.spectral_backward`) takes
+one matrix or a stack with any leading axes, one stacked call either way.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from . import spdcore
-from .errors import DimMismatch, NotSymmetric
-from .spdcore import EXP, LOG, SQRT, eig_sym, sym
+from .errors import DimMismatch, NonFinite, NotSymmetric
+from .spdcore import EXP, LOG, SQRT, sym
 
 SYMMETRY_RTOL = 1e-9
 
@@ -129,32 +131,39 @@ def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind) -> np.ndarray:
 
 
 def vech_adjoint(g: np.ndarray) -> np.ndarray:
-    """Adjoint of vech under the symmetric-matrix gradient convention.
+    """Adjoint of vech under the symmetric-matrix gradient convention, over
+    leading axes: (..., D) token gradients to (..., d, d) matrices.
 
     Diagonal token slots map to the diagonal unchanged; each off-diagonal slot
     contributes g/2 to both mirrored entries, so sum_ij out[i,j] E[i,j] equals
     g . vech(E) for every symmetric E.
     """
     G = unvech(g)
-    half = 0.5 * (G + np.diag(np.diag(G)))
-    return half
+    return 0.5 * (G + np.where(np.eye(G.shape[-1], dtype=bool), G, 0.0))
 
 
 def embed_backward(C: np.ndarray, kind: EmbeddingKind, upstream: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. C of a scalar loss, given the token gradient.
+    """Gradient w.r.t. C of a scalar loss, given the token gradient, for a
+    (..., d, d) stack C and (..., d(d+1)/2) token gradients.
 
     The vech adjoint turns the token gradient into a symmetric matrix, and the
     spectral backward pass maps it through sqrt/log. The flat embedding
-    returns the adjoint directly.
+    returns the adjoint directly. Raises NonFinite on a NaN or Inf token
+    gradient.
     """
     kind = EmbeddingKind(kind)
-    C = sym(C)
-    d = C.shape[0]
-    upstream = np.asarray(upstream, dtype=np.float64).ravel()
-    if upstream.size != token_length(d):
-        raise DimMismatch(f"token gradient length {upstream.size} != {token_length(d)}")
+    C = np.asarray(C, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if (C.ndim < 2 or C.shape[-1] != C.shape[-2]
+            or upstream.shape != C.shape[:-2] + (token_length(C.shape[-1]),)):
+        raise DimMismatch(f"expected (..., d, d) matrices and (..., d(d+1)/2) token "
+                          f"gradients, got {C.shape} and {upstream.shape}")
+    if not np.all(np.isfinite(upstream)):
+        raise NonFinite("token gradient contains NaN or Inf")
     G = vech_adjoint(upstream)
     if kind is EmbeddingKind.EUCLIDEAN:
         return G
     fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
-    return spdcore.spectral_backward(eig_sym(C), fn, G)
+    V, values = spdcore.eig_sym_batch(C.reshape((-1,) + C.shape[-2:]))
+    eig = spdcore.EigenPair(V.reshape(C.shape), values.reshape(C.shape[:-1]))
+    return spdcore.spectral_backward(eig, fn, G)

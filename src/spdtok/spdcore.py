@@ -42,8 +42,11 @@ Kernels and wrappers: `eig_sym_batch` is the one eigensolver entry point
 and `eig_sym` wraps it on a one-matrix stack. `spectral_reconstruct` is the
 one map from an eigendecomposition back to a matrix; `spectral_apply` and
 `spectral_apply_batch` wrap it. `near_degenerate` is the one test for the
-near-degeneracy branch, used by `dk_matrix` and by the tokeniser's branch
-diagnostics. Both work over any leading stack axes. The eigenvalue floor
+near-degeneracy branch, used by the DK kernel `_dk_kernel` and by the
+tokeniser's branch diagnostics; `dk_matrix` wraps the kernel for one
+spectrum. `spectral_backward` is the one backward pass, a stacked Hadamard
+sandwich. All of these work over any leading stack axes, and row i of a
+stacked call is the bits of the one-matrix call. The eigenvalue floor
 `CLIP_FLOOR` and the near-degeneracy tolerance `DEGENERACY_REL_TOL` are fixed
 constants; only the forward maps take another floor (0 for the synthetic
 anchors, -inf for `EXP`).
@@ -206,72 +209,74 @@ class DkMatrix:
         return float(np.max(mags) / np.min(mags))
 
 
-def dk_matrix(values: np.ndarray, fn: SpectralFn) -> DkMatrix:
-    """Daleckii-Krein matrix for the given eigenvalues.
+def _dk_kernel(values: np.ndarray, fn: SpectralFn):
+    """DK entries (..., d, d) and Taylor-hit counts (...) for (..., d) eigenvalues.
 
     sqrt uses the cancellation-free form 1/(sqrt(l_i) + sqrt(l_j)) for every
     entry. log uses the direct quotient except when |l_i - l_j| <
     DEGENERACY_REL_TOL * max(l_i, l_j), where the two-term Taylor expansion
-    1/l_i - (l_j - l_i)/(2 l_i^2) (anchored at the smaller index) takes over.
-    identity is the all-ones matrix. The result is exactly symmetric.
+    1/l_i - (l_j - l_i)/(2 l_i^2) (anchored at the smaller index) takes over;
+    any other function takes f' at the pair's midpoint there. identity is all
+    ones. The strict upper triangle is copied onto the lower one, so the
+    entries are exactly symmetric.
     """
     lam = _positive_spectrum(values)
-    d = lam.size
-    pairs = d * (d - 1) // 2
-    li = lam[:, None]
-    lj = lam[None, :]
+    d = lam.shape[-1]
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
+    no_hits = np.zeros(lam.shape[:-1], dtype=np.int64)
     if fn.name == "identity":
-        return DkMatrix(np.ones((d, d)), 0, pairs)
+        return np.ones(lam.shape + (d,)), no_hits
     if fn.name == "sqrt":
-        K = 1.0 / (np.sqrt(li) + np.sqrt(lj))
-        return DkMatrix(_mirror_upper(K), 0, pairs)
+        return 1.0 / (np.sqrt(li) + np.sqrt(lj)), no_hits
     near = near_degenerate(lam)
-    if fn.name == "log":
-        taylor = 1.0 / li - (lj - li) / (2.0 * li * li)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = (np.log(li) - np.log(lj)) / (li - lj)
-        K = np.where(near, taylor, quotient)
-        np.fill_diagonal(K, 1.0 / lam)
-    else:
-        fi = fn.f(li)
-        fj = fn.f(lj)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = (fi - fj) / (li - lj)
-        K = np.where(near, fn.df(0.5 * (li + lj)), quotient)
-        np.fill_diagonal(K, fn.df(lam))
-    hits = int(np.count_nonzero(near))
-    return DkMatrix(_mirror_upper(K), hits, pairs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fn.name == "log":
+            K = np.where(near, 1.0 / li - (lj - li) / (2.0 * li * li),
+                         (np.log(li) - np.log(lj)) / (li - lj))
+            diag = 1.0 / lam
+        else:
+            K = np.where(near, fn.df(0.5 * (li + lj)), (fn.f(li) - fn.f(lj)) / (li - lj))
+            diag = fn.df(lam)
+    i, j = np.triu_indices(d, k=1)
+    K[..., j, i] = K[..., i, j]
+    K[..., range(d), range(d)] = diag
+    return K, np.count_nonzero(near, axis=(-2, -1))
 
 
-def _mirror_upper(K: np.ndarray) -> np.ndarray:
-    """Copy the strict upper triangle onto the lower one for exact symmetry."""
-    U = np.triu(K, k=1)
-    return U + U.T + np.diag(np.diag(K))
+def dk_matrix(values: np.ndarray, fn: SpectralFn) -> DkMatrix:
+    """Daleckii-Krein matrix of one (d,) spectrum; see `_dk_kernel`."""
+    lam = np.asarray(values, dtype=np.float64)
+    if lam.ndim != 1:
+        raise DimMismatch(f"expected a (d,) spectrum, got shape {lam.shape}")
+    K, hits = _dk_kernel(lam, fn)
+    return DkMatrix(K, int(hits), lam.size * (lam.size - 1) // 2)
 
 
 def spectral_backward(eig: EigenPair, fn: SpectralFn, upstream: np.ndarray) -> np.ndarray:
     """Gradient of L w.r.t. C given the upstream gradient G = dL/df(C).
 
-    Computes V (K ∘ (V^T G V)) V^T with CLIP_FLOOR applied to the
-    eigenvalues before building K, keeping forward and backward consistent at
-    the clip boundary. The result is symmetrised.
+    Computes V (K ∘ (V^T G V)) V^T over any leading stack axes, with
+    CLIP_FLOOR applied to the eigenvalues before building K, keeping forward
+    and backward consistent at the clip boundary. The result is symmetrised.
+    Raises NonFinite on a NaN or Inf upstream gradient.
     """
+    V, values = eig
     G = np.asarray(upstream, dtype=np.float64)
-    d = eig.dim
-    if G.shape != (d, d):
-        raise DimMismatch(f"upstream shape {G.shape} does not match dim {d}")
-    G = sym(G)
-    lam = np.maximum(eig.values, CLIP_FLOOR)
-    K = dk_matrix(lam, fn).entries
-    V = eig.vectors
-    inner = K * (V.T @ G @ V)
-    return sym(V @ inner @ V.T)
+    if G.shape != V.shape or V.shape[:-1] != np.shape(values):
+        raise DimMismatch(f"upstream shape {G.shape} does not match eigenvectors {V.shape}")
+    if not np.all(np.isfinite(G)):
+        raise NonFinite("upstream gradient contains NaN or Inf")
+    K, _ = _dk_kernel(np.maximum(values, CLIP_FLOOR), fn)
+    Vt = np.swapaxes(V, -1, -2)
+    inner = K * (Vt @ sym(G) @ V)
+    return sym(V @ inner @ Vt)
 
 
 def _positive_spectrum(values: np.ndarray) -> np.ndarray:
-    """The eigenvalues as a flat float array; raises unless nonempty, finite and positive."""
-    lam = np.asarray(values, dtype=np.float64).ravel()
-    if lam.size == 0:
+    """The eigenvalues as a float array; raises unless d >= 1, finite and positive."""
+    lam = np.asarray(values, dtype=np.float64)
+    if lam.shape[-1:] == (0,):
         raise DomainError("empty eigenvalue list")
     if not np.all(np.isfinite(lam)):
         raise NonFinite("eigenvalues contain NaN or Inf")
@@ -282,7 +287,7 @@ def _positive_spectrum(values: np.ndarray) -> np.ndarray:
 
 def condition_ratio(values: np.ndarray) -> float:
     """kappa = lambda_max / lambda_min of a positive spectrum."""
-    lam = _positive_spectrum(values)
+    lam = _positive_spectrum(np.ravel(values))
     return float(np.max(lam) / np.min(lam))
 
 

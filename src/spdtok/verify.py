@@ -10,8 +10,9 @@ of the sqrt-space mean gap, eigenvalue-pair counting with the near-degeneracy
 branch fraction, and bitwise determinism.
 
 Suites draw their inputs as stacks, one batched call per dimension (`metrics`
-checks all three distances on one shared draw); only the gradient suites go
-one matrix at a time, as no batched backward kernel exists.
+checks all three distances on one shared draw). The gradient suites draw
+their instances one at a time, in a fixed order, then make one stacked
+backward call per dimension (and embedding, for `gradient_oracle`).
 
 Every suite returns PropertyResult records carrying the measured quantities,
 so the JSON summary documents not just pass/fail but the observed margins.
@@ -287,51 +288,51 @@ def suite_conditioning(rng, dims=(2, 5, 13, 22), kappas=(10.0, 100.0, 1e4)) -> l
 
 
 def suite_gradient_bounds(rng, trials=100) -> list:
-    worst_excess = 0.0
-    ok = True
+    groups = {}  # d -> [(C, G)], drawn in one fixed order
     for _ in range(trials):
         d = int(rng.integers(2, 12))
         C = _random_spd_stack(rng, 1, d, 1e4)[0]
         G = _random_symmetric(rng, d)
-        G /= np.linalg.norm(G)
-        eig = eig_sym(C)
-        lam_min = max(float(eig.values.min()), spdcore.CLIP_FLOOR)
+        groups.setdefault(d, []).append((C, G / np.linalg.norm(G)))
+    excess = []
+    for group in groups.values():
+        Cs, Gs = (np.stack(x) for x in zip(*group))
+        eig = spdcore.EigenPair(*eig_sym_batch(Cs))
+        lam_min = np.maximum(eig.values.min(axis=1), spdcore.CLIP_FLOOR)
         for fn in (SQRT, LOG):
-            grad = spectral_backward(eig, fn, G)
-            bound = spdcore.gradient_norm_bound(fn, lam_min)
-            excess = np.linalg.norm(grad) / bound
-            worst_excess = max(worst_excess, excess)
-            ok = ok and excess <= 1.05
-    return [PropertyResult("gradient_bounds", "unit_upstream_norm", ok,
-                           {"trials": trials, "worst_norm_over_bound": worst_excess})]
+            grads = spectral_backward(eig, fn, Gs)
+            excess += [np.linalg.norm(g) / spdcore.gradient_norm_bound(fn, float(lo))
+                       for g, lo in zip(grads, lam_min)]
+    return [PropertyResult("gradient_bounds", "unit_upstream_norm",
+                           all(e <= 1.05 for e in excess),
+                           {"trials": trials, "worst_norm_over_bound": max(excess, default=0.0)})]
 
 
 def suite_gradient_oracle(rng, dims=(2, 3, 5, 8, 22), per_dim=40) -> list:
     """Directional finite differences for the spectral and embedding backward passes."""
-    checked = 0
-    failures = 0
-    worst = 0.0
+    kinds = (EmbeddingKind.BWSPD, EmbeddingKind.LOG_EUCLIDEAN)
+    groups = {}  # (d, kind) -> [(C, w, E)], drawn in one fixed order
     for d in dims:
         for _ in range(per_dim):
             C = _random_spd_stack(rng, 1, d, 1e4)[0]
-            fn_kind = [(SQRT, EmbeddingKind.BWSPD), (LOG, EmbeddingKind.LOG_EUCLIDEAN)][int(rng.integers(0, 2))]
-            fn, kind = fn_kind
+            kind = kinds[int(rng.integers(0, 2))]
             w = rng.standard_normal(d * (d + 1) // 2)
-            grad = embed_backward(C, kind, w)
             E = _random_symmetric(rng, d)
-            E /= np.linalg.norm(E)
-            h = 1e-5 * np.linalg.norm(C)
-            hi = float(w @ embed(C + h * E, kind))
-            lo = float(w @ embed(C - h * E, kind))
-            want = (hi - lo) / (2.0 * h)
-            got = float(np.sum(grad * E))
-            tol = max(1e-4, 1e-2 * abs(got))
-            err = abs(got - want)
-            worst = max(worst, err / tol)
-            failures += err > tol
-            checked += 1
+            groups.setdefault((d, kind), []).append((C, w, E / np.linalg.norm(E)))
+    errs = []
+    for (_, kind), group in groups.items():
+        Cs, Ws, Es = (np.stack(x) for x in zip(*group))
+        grads = embed_backward(Cs, kind, Ws)
+        hs = np.array([1e-5 * np.linalg.norm(C) for C in Cs])
+        hi, lo = (embed_batch(Cs + sign * hs[:, None, None] * Es, kind) for sign in (1.0, -1.0))
+        for w, g, E, h, t_hi, t_lo in zip(Ws, grads, Es, hs, hi, lo):
+            want = (float(w @ t_hi) - float(w @ t_lo)) / (2.0 * h)
+            got = float(np.sum(g * E))
+            errs.append((abs(got - want), max(1e-4, 1e-2 * abs(got))))
+    failures = sum(err > tol for err, tol in errs)
+    worst = max((err / tol for err, tol in errs), default=0.0)
     return [PropertyResult("gradient_oracle", "token_to_matrix_fd", failures == 0,
-                           {"instances": checked, "failures": failures,
+                           {"instances": len(errs), "failures": failures,
                             "worst_err_over_tol": worst})]
 
 
@@ -368,7 +369,7 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
     model = SpdTokenTransformer(ModelConfig(d_token=D, n_classes=3, d_model=16, layers=2,
                                             heads=2, d_ff=24, dropout=0.0), seed=5)
     Cs = _random_spd_stack(rng, 6, d, 100.0)
-    tokens = np.stack([embed(C, EmbeddingKind.BWSPD) for C in Cs])[:, None, :]
+    tokens = embed_batch(Cs, EmbeddingKind.BWSPD)[:, None, :]
     labels = rng.integers(0, 3, 6)
 
     masks = []

@@ -1,7 +1,9 @@
-"""Golden sha256 manifest of `metrics.json` for every frozen experiment.
+"""Golden sha256 manifest of `metrics.json` for every frozen experiment, and
+of `spdtok verify --seed 0 --json`.
 
 Each `spdtok.tasks` builder is trained for 2 epochs at seed 42 and its
-`metrics.json` hashed. The `configs/*.json` experiments are not trained
+`metrics.json` hashed; the file `spdtok verify --seed 0 --json` writes is
+hashed too. The `configs/*.json` experiments are not trained
 again: `test_golden.py` checks each one equal to the builder named in its
 `CONFIG_TWINS`. The hashes are bit-level facts about one platform, so the
 manifest also records a platform fingerprint, and `test_golden.py` compares
@@ -20,7 +22,9 @@ and commit the diff:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -81,6 +85,17 @@ def metrics_hashes() -> dict:
     return out
 
 
+def verify_hash() -> str:
+    """sha256 of the file `spdtok verify --seed 0 --json` writes."""
+    from spdtok.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "verify.json")
+        main(["verify", "--seed", "0", "--json", path])
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+
 def load_manifest() -> dict:
     with open(MANIFEST, "r", encoding="utf-8") as f:
         return json.load(f)
@@ -88,11 +103,12 @@ def load_manifest() -> dict:
 
 def bless():
     manifest = {"seed": SEED, "epochs": EPOCHS, "fingerprint": fingerprint(),
-                "metrics_sha256": metrics_hashes()}
+                "metrics_sha256": metrics_hashes(), "verify_seed0_sha256": verify_hash()}
     with open(MANIFEST, "w", encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
-    print(f"wrote {len(manifest['metrics_sha256'])} hashes to {MANIFEST}")
+    print(f"wrote {len(manifest['metrics_sha256'])} metrics hashes and the verify hash "
+          f"to {MANIFEST}")
 
 
 def diff() -> int:
@@ -101,8 +117,9 @@ def diff() -> int:
     manifest = load_manifest()
     if manifest["fingerprint"] != fingerprint():
         print("note: this platform differs from the blessed one", file=sys.stderr)
-    old = manifest["metrics_sha256"]
-    new = metrics_hashes()
+    old = {**manifest["metrics_sha256"],
+           "verify --seed 0": manifest.get("verify_seed0_sha256", "-")}
+    new = {**metrics_hashes(), "verify --seed 0": verify_hash()}
     moved = sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
     for name in moved:
         print(f"{name} {old.get(name, '-')} → {new.get(name, '-')}")

@@ -185,6 +185,11 @@ class TestCliMain:
         dims = {r["dim"] for r in parsed["rows"]}
         assert dims == {2, 8}
 
+    @pytest.mark.parametrize("dims, trials", [("2,8", "0"), ("1,8", "3")])
+    def test_bench_rejects_empty_groups(self, capsys, dims, trials):
+        assert main(["bench", "--dims", dims, "--trials", trials]) == 2
+        assert "bench needs trials >= 1 and dims >= 2" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "missing")])
         assert rc == 2

@@ -147,6 +147,23 @@ class TestEmbedBackward:
             embed_backward(random_spd(rng, 4), EmbeddingKind.BWSPD, np.zeros(9))
 
     @pytest.mark.parametrize("kind", list(EmbeddingKind))
+    def test_malformed_matrix_rejected(self, kind):
+        with pytest.raises(DimMismatch):
+            embed_backward(np.ones(3), kind, np.zeros(1))
+        with pytest.raises(DimMismatch):
+            embed_backward(np.ones((2, 3)), kind, np.zeros(3))
+        with pytest.raises(DimMismatch):
+            embed_backward(np.eye(2)[None], kind, np.zeros(3))
+
+    @pytest.mark.parametrize("kind", list(EmbeddingKind))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_upstream_rejected(self, kind, bad):
+        up = np.zeros(6)
+        up[4] = bad
+        with pytest.raises(NonFinite):
+            embed_backward(np.eye(3), kind, up)
+
+    @pytest.mark.parametrize("kind", list(EmbeddingKind))
     def test_finite_differences(self, rng, kind):
         d = 5
         C = random_spd(rng, d, kappa=30)

@@ -69,3 +69,14 @@ def test_golden_diff_passes_at_blas_threads(threads):
     # `golden.py --diff` exits 1, listing the moved hashes, if any moved
     skip_unless_blessed_platform(load_manifest())
     stdout_at_blas_threads([os.path.join(ROOT, "tests", "golden.py"), "--diff"], threads)
+
+
+def test_diff_reports_a_moved_verify_hash(monkeypatch, capsys):
+    import golden
+
+    manifest = load_manifest()
+    monkeypatch.setattr(golden, "metrics_hashes", lambda: dict(manifest["metrics_sha256"]))
+    monkeypatch.setattr(golden, "verify_hash", lambda: "0" * 64)
+    assert golden.diff() == 1
+    assert capsys.readouterr().out == \
+        f"verify --seed 0 {manifest['verify_seed0_sha256']} → {'0' * 64}\n"

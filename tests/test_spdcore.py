@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdtok import spdcore
+from spdtok.embedding import embed_backward
 from spdtok.errors import DimMismatch, DomainError, NoConvergence, NonFinite
 from spdtok.spdcore import (
     IDENTITY,
@@ -21,7 +22,7 @@ from spdtok.spdcore import (
     sym,
 )
 
-from conftest import random_spd, random_symmetric
+from conftest import random_spd, random_symmetric, stdout_at_blas_threads
 
 EXP = SpectralFn("exp", np.exp, np.exp)
 
@@ -205,6 +206,12 @@ class TestDkMatrix:
         hi = 1.0 / (2.0 * np.sqrt(lam.min()))
         assert np.all(K >= lo - 1e-15) and np.all(K <= hi + 1e-15)
 
+    def test_spectrum_not_one_dimensional_rejected(self):
+        with pytest.raises(DimMismatch):
+            dk_matrix(np.array([[2.0, 1.0], [3.0, 1.0]]), SQRT)
+        with pytest.raises(DimMismatch):
+            dk_matrix(np.float64(2.0), LOG)
+
     def test_generic_fn_near_degenerate_uses_midpoint_derivative(self):
         dk = dk_matrix(np.array([3.0, 3.0]), EXP)
         assert np.isclose(dk.entries[0, 1], np.exp(3.0))
@@ -265,6 +272,17 @@ class TestSpectralBackward:
         eig = eig_sym(random_spd(rng, 3))
         with pytest.raises(DimMismatch):
             spectral_backward(eig, SQRT, np.eye(4))
+        with pytest.raises(DimMismatch):
+            spectral_backward(eig, SQRT, np.eye(3)[None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_upstream_rejected(self, rng, bad):
+        eig = eig_sym(random_spd(rng, 3))
+        G = np.eye(3)
+        G[0, 2] = bad
+        for fn in (SQRT, LOG, IDENTITY):
+            with pytest.raises(NonFinite):
+                spectral_backward(eig, fn, G)
 
     @pytest.mark.parametrize("fn", [SQRT, LOG])
     def test_entrywise_finite_differences(self, rng, fn):
@@ -377,3 +395,107 @@ class TestOneByOneAndZeroStacks:
         assert np.allclose(K.entries, fn.df(spdcore.CLIP_FLOOR), rtol=1e-15, atol=0.0)
         assert np.array_equal(K.entries, K.entries.T)
         assert K.taylor_hits == (K.pairs if fn is LOG else 0)
+
+
+QUARTIC = SpectralFn("quartic_root", lambda x: x ** 0.25, lambda x: 0.25 * x ** -0.75)
+
+
+@st.composite
+def spectral_stacks(draw):
+    """(profile, eigenvectors, eigenvalues): n Haar-random bases and n spectra
+    sorted descending, clustered (pairs within 1e-9 relative), graded with
+    kappa up to 1e8, or around CLIP_FLOOR (at, below and just above it)."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 22]))
+    n = draw(st.integers(1, 4))
+    profile = draw(st.sampled_from(["clustered", "graded", "floor"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if profile == "clustered":
+        base = np.repeat(np.geomspace(1.0, 100.0, (d + 1) // 2), 2)[:d]
+        lams = base * (1.0 + rng.uniform(0.0, 1e-9, (n, d)))
+    elif profile == "graded":
+        kappa = 10.0 ** draw(st.floats(0.0, 8.0))
+        lams = np.geomspace(1.0, kappa, d) * rng.uniform(0.5, 2.0, (n, d))
+    else:
+        scale = np.array([-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-10, 2.0, 1e4])
+        lams = spdcore.CLIP_FLOOR * rng.choice(scale, (n, d))
+    V = np.stack([spdcore.random_orthogonal(rng, d) for _ in range(n)])
+    return profile, V, -np.sort(-lams, axis=1)
+
+
+class TestStackedBackward:
+    """Row i of a stacked backward or DK call is the bits of the one-matrix
+    call, on clustered, graded and near-floor spectra."""
+
+    @PROPERTY
+    @given(spectral_stacks(), st.sampled_from([SQRT, LOG, IDENTITY, QUARTIC]))
+    def test_dk_rows_match_one_spectrum(self, stack, fn):
+        profile, _, lams = stack
+        lams = np.maximum(lams, spdcore.CLIP_FLOOR)
+        K, hits = spdcore._dk_kernel(lams, fn)
+        assert np.array_equal(K, np.swapaxes(K, 1, 2))
+        for i, lam in enumerate(lams):
+            one = dk_matrix(lam, fn)
+            assert K[i].tobytes() == one.entries.tobytes()
+            assert hits[i] == one.taylor_hits
+        if fn is LOG and profile == "clustered" and lams.shape[1] > 1:
+            assert np.all(hits > 0)
+
+    @PROPERTY
+    @given(spectral_stacks(), st.sampled_from([SQRT, LOG, IDENTITY, QUARTIC]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_spectral_backward_rows_match_one_matrix(self, stack, fn, seed):
+        _, V, lams = stack
+        G = np.random.default_rng(seed).standard_normal(V.shape)
+        stacked = spectral_backward(spdcore.EigenPair(V, lams), fn, G)
+        for i in range(len(V)):
+            one = spectral_backward(spdcore.EigenPair(V[i], lams[i]), fn, G[i])
+            assert stacked[i].tobytes() == one.tobytes()
+
+    @PROPERTY
+    @given(spectral_stacks(), st.sampled_from(["bwspd", "logeuclidean", "euclidean"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_embed_backward_rows_match_one_matrix(self, stack, kind, seed):
+        _, V, lams = stack
+        Cs = spdcore.spectral_reconstruct(V, lams, IDENTITY, clip=-np.inf)
+        d = Cs.shape[-1]
+        W = np.random.default_rng(seed).standard_normal((len(Cs), d * (d + 1) // 2))
+        stacked = embed_backward(Cs, kind, W)
+        for i in range(len(Cs)):
+            assert stacked[i].tobytes() == embed_backward(Cs[i], kind, W[i]).tobytes()
+
+    def test_leading_axes_are_kept(self, rng):
+        Cs = np.stack([random_spd(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        V, vals = eig_sym_batch(Cs.reshape(6, 4, 4))
+        G = rng.standard_normal((2, 3, 4, 4))
+        out = spectral_backward(spdcore.EigenPair(V.reshape(Cs.shape), vals.reshape(2, 3, 4)),
+                                LOG, G)
+        flat = spectral_backward(spdcore.EigenPair(V, vals), LOG, G.reshape(6, 4, 4))
+        assert out.shape == (2, 3, 4, 4)
+        assert out.tobytes() == flat.tobytes()
+
+
+STACKED_BACKWARD_HASH = """
+import hashlib
+import numpy as np
+from spdtok import spdcore
+from spdtok.embedding import embed_backward
+
+rng = np.random.default_rng(2024)
+digest = hashlib.sha256()
+for d in (22, 56):
+    lams = np.exp(rng.uniform(0.0, np.log(1e4), (16, d)))
+    V = np.stack([spdcore.random_orthogonal(rng, d) for _ in range(16)])
+    G = rng.standard_normal((16, d, d))
+    for fn in (spdcore.SQRT, spdcore.LOG):
+        digest.update(spdcore.spectral_backward(spdcore.EigenPair(V, lams), fn, G).tobytes())
+    Cs = spdcore.spectral_reconstruct(V, lams, spdcore.IDENTITY)
+    W = rng.standard_normal((16, d * (d + 1) // 2))
+    for kind in ("bwspd", "logeuclidean"):
+        digest.update(embed_backward(Cs, kind, W).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_stacked_backward_bits_independent_of_blas_threads():
+    hashes = {t: stdout_at_blas_threads(["-c", STACKED_BACKWARD_HASH], t) for t in ("1", "2")}
+    assert hashes["1"] == hashes["2"]
