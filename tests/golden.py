@@ -2,8 +2,12 @@
 of `spdtok verify --seed 0 --json`.
 
 Each `spdtok.tasks` builder is trained for 2 epochs at seed 42 and its
-`metrics.json` hashed; the file `spdtok verify --seed 0 --json` writes is
-hashed too. The `configs/*.json` experiments are not trained
+`metrics.json` hashed. Two ablation sweeps run at the same epochs and seed,
+and their `ablation_<axis>.json` and every variant's `metrics.json` are
+hashed under `ablate/`: `attention` on the multi-band task (the only frozen
+run with geometric attention) and `embedding` on the geometry-gap task; they
+pin `ablate`'s path through tokenising and the seed loop. The file
+`spdtok verify --seed 0 --json` writes is hashed too. The `configs/*.json` experiments are not trained
 again: `test_golden.py` checks each one equal to the builder named in its
 `CONFIG_TWINS`. The hashes are bit-level facts about one platform, so the
 manifest also records a platform fingerprint, and `test_golden.py` compares
@@ -23,6 +27,7 @@ and commit the diff:
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -69,8 +74,23 @@ def experiments() -> dict:
     return runs
 
 
+def ablations() -> dict:
+    """axis -> the ExperimentConfig its golden ablation sweeps."""
+    from spdtok import tasks
+
+    return {"attention": tasks.band_mixture_experiment(True),
+            "embedding": tasks.geometry_gap_experiment("logeuclidean")}
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def metrics_hashes() -> dict:
-    """name -> sha256 of the metrics.json of a seed-42, 2-epoch run."""
+    """name -> sha256 of the metrics.json of a seed-42, 2-epoch run, and
+    `ablate/<path>` -> sha256 of each JSON file the golden ablations write."""
+    from spdtok.ablate import run_ablation
     from spdtok.train import run_single, tokenize
 
     out = {}
@@ -80,8 +100,14 @@ def metrics_hashes() -> dict:
             exp.seeds = (SEED,)
             run_dir = os.path.join(tmp, name.replace("/", "_"))
             run_single(exp, tokenize(exp.data), SEED, run_dir)
-            with open(os.path.join(run_dir, "metrics.json"), "rb") as f:
-                out[name] = hashlib.sha256(f.read()).hexdigest()
+            out[name] = _sha256(os.path.join(run_dir, "metrics.json"))
+        root = os.path.join(tmp, "ablate")
+        for axis, exp in ablations().items():
+            exp.epochs = EPOCHS
+            exp.seeds = (SEED,)
+            run_ablation(exp, axis, root)
+        for path in glob.glob(os.path.join(root, "**", "*.json"), recursive=True):
+            out["ablate/" + os.path.relpath(path, root).replace(os.sep, "/")] = _sha256(path)
     return out
 
 
@@ -92,8 +118,7 @@ def verify_hash() -> str:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         path = os.path.join(tmp, "verify.json")
         main(["verify", "--seed", "0", "--json", path])
-        with open(path, "rb") as f:
-            return hashlib.sha256(f.read()).hexdigest()
+        return _sha256(path)
 
 
 def load_manifest() -> dict:
