@@ -3,7 +3,8 @@
 Each axis yields a list of variants run over the same seeds; the table
 reports mean +/- std of final test accuracy per variant and a paired t-test
 p-value against the first variant (pairing by seed). Token datasets are
-cached per distinct data configuration so model-only axes tokenise once.
+cached per distinct data configuration so model-only axes tokenise once; each
+variant's seeds run through `train.run_seeds`, as `spdtok train`'s do.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 from .errors import InvalidSpec
 from .stats import mean_std, paired_t_test
-from .train import DataConfig, ExperimentConfig, geometric_setup, run_single, tokenize
+from .train import ExperimentConfig, run_seeds, tokenize, write_json
 
 AXES = ("embedding", "bn_embed", "depth", "heads", "attention", "bands")
 
@@ -45,8 +46,7 @@ def _variants(exp: ExperimentConfig, axis: str):
 
 
 def replace_data(exp: ExperimentConfig, **kw) -> ExperimentConfig:
-    return replace(exp, data=DataConfig.from_dict({**exp.data.to_dict(), **kw}),
-                   model=dict(exp.model))
+    return replace(exp, data=replace(exp.data, **kw))
 
 
 def with_model(exp: ExperimentConfig, **kw) -> ExperimentConfig:
@@ -61,19 +61,13 @@ def run_ablation(exp: ExperimentConfig, axis: str, out_root: str | None = None) 
         data_key = json.dumps(variant.data.to_dict(), sort_keys=True)
         if data_key not in token_cache:
             token_cache[data_key] = tokenize(variant.data)
-        tds = token_cache[data_key]
-        _, attn_bias = geometric_setup(variant.model, tds)
-        finals = []
-        per_seed = {}
-        for seed in variant.seeds:
-            out_dir = (os.path.join(out_root, axis, name, f"seed{seed}")
-                       if out_root else None)
-            rep = run_single(variant, tds, seed, out_dir, attn_bias)
-            finals.append(rep.final_test_accuracy)
-            per_seed[str(seed)] = rep.final_test_accuracy
+        reports = run_seeds(variant, token_cache[data_key],
+                            os.path.join(out_root, axis, name) if out_root else None)
+        finals = [r.final_test_accuracy for r in reports]
         mean, std = mean_std(finals)
         rows.append({"variant": name, "mean": mean, "std": std,
-                     "per_seed": per_seed, "finals": finals})
+                     "per_seed": {str(r.seed): r.final_test_accuracy for r in reports},
+                     "finals": finals})
     baseline = rows[0]["finals"]
     for row in rows:
         if row is rows[0] or len(baseline) < 2:
@@ -82,11 +76,9 @@ def run_ablation(exp: ExperimentConfig, axis: str, out_root: str | None = None) 
             row["p_vs_first"] = paired_t_test(row["finals"], baseline).pvalue
     table = {"axis": axis, "seeds": list(variants[0][1].seeds),
              "rows": [{k: v for k, v in r.items() if k != "finals"} for r in rows]}
-    if out_root is not None:
+    if out_root:
         os.makedirs(out_root, exist_ok=True)
-        with open(os.path.join(out_root, f"ablation_{axis}.json"), "w", encoding="utf-8") as f:
-            json.dump(table, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(os.path.join(out_root, f"ablation_{axis}.json"), table)
         with open(os.path.join(out_root, f"ablation_{axis}.csv"), "w", encoding="utf-8") as f:
             f.write("variant,mean,std,p_vs_first\n")
             for r in table["rows"]:

@@ -22,7 +22,9 @@ several, so a d = 56 projection (1596 inputs) would otherwise change its bits
 with the BLAS thread count. An output narrower than MIN_COLS is formed
 against weights padded with zero columns, and a one-row product with a zero
 row, so that, as for wider outputs and more rows, a row's result does not
-depend on how many rows share the product.
+depend on how many rows share the product. The input gradient's W.T is
+padded likewise to a multiple of KERNEL_COLS, whose bits otherwise (at 253,
+300 or 1596 columns) depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -170,6 +172,14 @@ def _matmul(a, b):
 # a row's bits depend on how many rows share the product, so W is padded with
 # zero columns up to this width and the product cut back
 MIN_COLS = 4
+KERNEL_COLS = 8  # OpenBLAS's kernel width, a multiple of which the input gradient spans
+
+
+def _matmul_cols(a, b, cols):
+    """_matmul(a, b) against b padded with zero columns to `cols`, cut back to b's width."""
+    if cols == b.shape[1]:
+        return _matmul(a, b)
+    return _matmul(a, np.pad(b, ((0, 0), (0, cols - b.shape[1]))))[:, :b.shape[1]].copy()
 
 
 def linear(x, W, b=None):
@@ -181,20 +191,15 @@ def linear(x, W, b=None):
     if x.data.shape[-1] != m:
         raise ShapeMismatch(f"linear: {x.data.shape} @ {W.data.shape}")
     x2 = x.data.reshape(-1, m)
-    if k < MIN_COLS:
-        padded = np.zeros((m, MIN_COLS))
-        padded[:, :k] = W.data
-        out2 = _matmul(x2, padded)[:, :k].copy()
-    else:
-        out2 = _matmul(x2, W.data)
-    out_data = out2.reshape(lead + (k,))
+    out_data = _matmul_cols(x2, W.data, max(k, MIN_COLS)).reshape(lead + (k,))
     if b is not None:
         b = as_tensor(b)
         out_data += b.data  # the GEMM output is fresh, so add in place
 
     def backward(g):
         g2 = g.reshape(-1, k)
-        gx = _matmul(g2, W.data.T).reshape(lead + (m,)) if x.requires_grad else None
+        gx = (_matmul_cols(g2, W.data.T, -(-m // KERNEL_COLS) * KERNEL_COLS).reshape(lead + (m,))
+              if x.requires_grad else None)
         gW = _matmul(x2.T, g2)
         if b is None:
             return gx, gW

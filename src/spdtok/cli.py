@@ -14,7 +14,6 @@ config's seed list for train and ablate.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,22 +21,15 @@ from .ablate import AXES, format_ablation_table, run_ablation
 from .bench import format_bench_table, run_bench
 from .errors import SpdTokError
 from .report import consolidate, curves_csv, markdown_table
-from .train import ExperimentConfig, train_experiment
+from .train import ExperimentConfig, train_experiment, write_json
 from .verify import results_to_json, run_verification
-
-
-def _seeds_from_env():
-    raw = os.environ.get("SPDTOK_SEED")
-    if not raw:
-        return None
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
 def _load_experiment(path) -> ExperimentConfig:
     exp = ExperimentConfig.from_json_file(path)
-    env_seeds = _seeds_from_env()
+    env_seeds = os.environ.get("SPDTOK_SEED", "").replace(",", " ").split()
     if env_seeds:
-        exp.seeds = env_seeds
+        exp.seeds = tuple(int(tok) for tok in env_seeds)
     return exp
 
 
@@ -48,9 +40,7 @@ def cmd_verify(args) -> int:
     n_pass = sum(r.passed for r in results)
     print(f"\n{n_pass}/{len(results)} properties passed")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(results_to_json(results), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(args.json, results_to_json(results))
         print(f"wrote {args.json}")
     return 0 if ok else 1
 
@@ -83,9 +73,7 @@ def cmd_bench(args) -> int:
     result = run_bench(dims, trials=args.trials, seed=args.seed)
     print(format_bench_table(result))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(result, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(args.json, result)
         print(f"wrote {args.json}")
     return 0
 

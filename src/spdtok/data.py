@@ -40,7 +40,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import geometry, spdcore
-from .errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples
+from .errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples, checked_fields
 from .spdcore import IDENTITY, SQRT, random_orthogonal, spectral_apply_batch, spectral_reconstruct, sym
 
 DEFAULT_RIDGE = 1e-6
@@ -198,9 +198,8 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["spectra"] = tuple(tuple(s) for s in d.get("spectra", ()))
-        return cls(**d)
+        d = checked_fields(cls, d)
+        return cls(**{**d, "spectra": tuple(tuple(s) for s in d.get("spectra", ()))})
 
 
 @dataclass
@@ -302,7 +301,7 @@ class BandMixtureSpec:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**checked_fields(cls, d))
 
 
 def _spatial_pattern(rng, d):

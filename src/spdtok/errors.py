@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check that turns
+a malformed config object into one of them.
 
 Every error raised by spdtok code derives from SpdTokError so callers can
 catch the whole family with one clause. Numerical routines raise the
 specific subclass named in their contract.
 """
+
+import inspect
 
 
 class SpdTokError(Exception):
@@ -89,3 +92,15 @@ class TruncatedFile(ContainerError):
 
 class ChecksumMismatch(ContainerError):
     """Stored CRC32 does not match the payload."""
+
+
+def checked_fields(cls, obj, supplied=()) -> dict:
+    """`obj`, a config object read from outside, as keyword arguments of `cls`
+    less its `supplied` ones; InvalidSpec unless it is a dict that binds to them."""
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"{cls.__name__} needs a JSON object, got {type(obj).__name__}")
+    try:
+        inspect.signature(cls).bind(**obj, **dict.fromkeys(supplied))
+    except TypeError as err:
+        raise InvalidSpec(f"{cls.__name__}: {err}") from None
+    return obj

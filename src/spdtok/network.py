@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .embedding import EmbeddingKind, reconstruct_spd
-from .errors import DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch
+from .errors import DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch, checked_fields
 from . import geometry
 
 ATTENTION_MODES = ("standard", "geometric")
@@ -76,7 +76,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**checked_fields(cls, d))
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -263,11 +263,9 @@ def geometric_bias(tokens: np.ndarray, kind) -> np.ndarray:
         return np.zeros((batch, 1, 1))
     Cs = reconstruct_spd(tokens.reshape(batch * T, D), kind)
     Cs = Cs.reshape(batch, T, *Cs.shape[-2:])
+    a, b = np.triu_indices(T, 1)  # every pair, one stacked call
+    dist = geometry.bw_distance_pairs(np.concatenate(Cs[:, a]), np.concatenate(Cs[:, b]))
     bias = np.zeros((batch, T, T))
-    for a in range(T):
-        for b in range(a + 1, T):
-            dist = geometry.bw_distance_pairs(Cs[:, a], Cs[:, b])
-            bias[:, a, b] = dist
-            bias[:, b, a] = dist
+    bias[:, a, b] = bias[:, b, a] = dist.reshape(batch, len(a))
     return bias
 

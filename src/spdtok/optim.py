@@ -18,15 +18,13 @@ import math
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; no run sets others
+
 
 class Adam:
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state = {k: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
                       for k, p in params.items()}
         # one work array for every tensor's update, sized to the largest
@@ -39,11 +37,10 @@ class Adam:
     def step(self):
         for k, p in self.params.items():
             if p.grad is not None:
-                adam_step(p.data, p.grad, self.state[k], self.lr, self.beta1, self.beta2,
-                          self.eps, self._scratch)
+                adam_step(p.data, p.grad, self.state[k], self.lr, self._scratch)
 
 
-def adam_step(theta, grad, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, scratch=None):
+def adam_step(theta, grad, state, lr=1e-3, scratch=None):
     """One Adam update of the array `theta`, in place; returns `theta`.
 
     `state` is {m, v, t}, the unnormalised moments and step count of the
@@ -56,14 +53,14 @@ def adam_step(theta, grad, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, scr
     # theta -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = (1 - beta1) m / (1 - beta1^t)
     # and v_hat = (1 - beta2) v / (1 - beta2^t), multiplied through by
     # sqrt((1 - beta2^t) / (1 - beta2))
-    root = math.sqrt((1.0 - beta2 ** t) / (1.0 - beta2))
-    step_size = lr * (1.0 - beta1) / (1.0 - beta1 ** t) * root
-    eps_t = eps * root
+    root = math.sqrt((1.0 - BETA2 ** t) / (1.0 - BETA2))
+    step_size = lr * (1.0 - BETA1) / (1.0 - BETA1 ** t) * root
+    eps_t = EPS * root
     m, v = state["m"], state["v"]
     buf = (np.empty(theta.size) if scratch is None else scratch[:theta.size]).reshape(theta.shape)
-    m *= beta1
+    m *= BETA1
     m += grad
-    v *= beta2
+    v *= BETA2
     np.multiply(grad, grad, out=buf)
     v += buf
     np.sqrt(v, out=buf)

@@ -6,6 +6,12 @@ run writes except the timing columns of epochs.csv is a pure function of
 the two. metrics.json deliberately contains no timing, so two runs with the
 same config and seed produce byte-identical metrics files.
 
+Every data source reduces to the rows its trial keys hash, int64 labels and
+one (n, T, d, d) covariance stack, which `tokenize` embeds trial-major and
+band-minor with one `tokenize_matrices` call. `run_seeds`, the one seed loop
+of `train_experiment` and of the ablations, shares one geometric-attention
+bias across seeds. Every JSON file a command writes goes through `write_json`.
+
 Each epoch ends with one `_evaluate` call: a single eval forward over the
 train, val and test rows, EVAL_BATCH rows at a time, after which each split's
 loss and accuracy are taken over its own rows.
@@ -42,7 +48,7 @@ from .data import (
     trial_key,
 )
 from .embedding import EmbeddingKind, embed_batch
-from .errors import InvalidSpec
+from .errors import InvalidSpec, checked_fields
 from .network import ModelConfig, SpdTokenTransformer, geometric_bias
 from .optim import Adam
 from .spdcore import CLIP_FLOOR, near_degenerate
@@ -69,26 +75,25 @@ class DataConfig:
     def __post_init__(self):
         if self.source not in ("synth", "band_mixture", "container"):
             raise InvalidSpec(f"unknown data source {self.source!r}")
-        if self.source == "synth" and not self.synth:
-            raise InvalidSpec("synth source needs a synth spec")
-        if self.source == "band_mixture" and not self.band_mixture:
-            raise InvalidSpec("band_mixture source needs its spec")
         if self.source == "container" and not self.container_path:
             raise InvalidSpec("container source needs container_path")
         if self.multiband and self.source == "synth":
             raise InvalidSpec("multiband tokenisation needs a time-series source")
-        EmbeddingKind(self.embedding)
+        if self.embedding not in {k.value for k in EmbeddingKind}:
+            raise InvalidSpec(f"unknown embedding {self.embedding!r}")
         self.ratios = tuple(self.ratios)
+        if self.source != "container":  # the spec is checked now, before any data work
+            spec = getattr(self, self.source)
+            if not spec:
+                raise InvalidSpec(f"{self.source} source needs its spec")
+            (SynthSpec if self.source == "synth" else BandMixtureSpec).from_dict(spec)
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "ratios" in d:
-            d["ratios"] = tuple(d["ratios"])
-        return cls(**d)
+        return cls(**checked_fields(cls, d))
 
 
 @dataclass
@@ -106,24 +111,32 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise InvalidSpec("need at least one seed")
+        # run_single fills in the fields the tokens fix
+        checked_fields(ModelConfig, self.model, supplied=("d_token", "n_classes", "seq_len"))
 
     def to_dict(self):
-        d = asdict(self)
-        d["data"] = self.data.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["data"] = DataConfig.from_dict(d["data"])
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        return cls(**d)
+        d = checked_fields(cls, d)
+        return cls(**{**d, "data": DataConfig.from_dict(d["data"])})
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                d = json.load(f)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise InvalidSpec(f"{path} is not a JSON config: {err}") from err
+        return cls.from_dict(d)
+
+
+def write_json(path, obj):
+    """`obj` as sorted, two-space-indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 @dataclass
@@ -132,7 +145,8 @@ class TokenDataset:
     labels: np.ndarray   # (n,)
     keys: list           # stable per-trial content hashes
     n_classes: int
-    meta: dict           # matrix dim, embedding, branch diagnostics
+    embedding: str       # the EmbeddingKind value the tokens were made with
+    branch: dict         # tokenize_matrices's branch diagnostics
 
 
 def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind):
@@ -151,15 +165,6 @@ def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind):
         hits = int(np.count_nonzero(near_degenerate(np.maximum(values, CLIP_FLOOR))))
     return tokens, {"taylor_hits": hits, "pairs": pairs,
                     "branch_fraction": hits / pairs if pairs else 0.0}
-
-
-def _matrix_token_dataset(mats, labels, kind, extra_meta=None) -> TokenDataset:
-    tokens, diag = tokenize_matrices(mats, kind)
-    keys = [trial_key(C) for C in mats]
-    meta = {"dim": mats.shape[-1], "embedding": kind.value, "branch": diag}
-    meta.update(extra_meta or {})
-    labels = np.asarray(labels, dtype=np.int64)
-    return TokenDataset(tokens[:, None, :], labels, keys, int(labels.max()) + 1, meta)
 
 
 def _entry(packed: dict, name: str) -> np.ndarray:
@@ -182,12 +187,11 @@ def _class_labels(raw) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def tokenize(data_cfg: DataConfig) -> TokenDataset:
-    kind = EmbeddingKind(data_cfg.embedding)
+def _trials(data_cfg: DataConfig):
+    """(rows the trial keys hash, labels, (n, T, d, d) covariances) of the source."""
     if data_cfg.source == "synth":
         ds = synth_dataset(SynthSpec.from_dict(data_cfg.synth))
-        return _matrix_token_dataset(ds.matrices, ds.labels, kind, {"anchors": ds.anchors})
-
+        return ds.matrices, ds.labels, ds.matrices[:, None]
     if data_cfg.source == "band_mixture":
         batch = synth_band_mixture(BandMixtureSpec.from_dict(data_cfg.band_mixture))
     else:
@@ -200,41 +204,41 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
             if labels.shape != mats.shape[:1]:
                 raise InvalidSpec(f"container has {len(labels)} labels for matrices "
                                   f"of shape {mats.shape}")
-            return _matrix_token_dataset(mats, labels, kind)
+            return mats, labels, mats[:, None]
         segments = _entry(packed, "segments")
         rate = _entry(packed, "sample_rate")
         if rate.size != 1:
             raise InvalidSpec(f"container sample_rate must be one number, got shape {rate.shape}")
         batch = SegmentBatch(segments, labels, float(rate.item()))
 
-    keys = [trial_key(x) for x in batch.data]
-    if not data_cfg.multiband:
-        covs = np.stack([estimate_covariance(x) for x in batch.data])
-        tokens, diag = tokenize_matrices(covs, kind)
-        tokens = tokens[:, None, :]
-    else:
+    if data_cfg.multiband:
         bands = analysis_bands(batch.sample_rate_hz)
         # one trial at a time: a spectrum of the whole batch would add ~26 MB
         # of peak memory on the band-mixture task
-        covs = np.concatenate([band_covariances(x, bands) for x in batch.data])
-        flat_tokens, diag = tokenize_matrices(covs, kind)
-        tokens = flat_tokens.reshape(batch.n_trials, len(bands), -1)
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    meta = {"dim": batch.data.shape[1], "embedding": kind.value, "branch": diag}
-    return TokenDataset(tokens, labels, keys, int(labels.max()) + 1, meta)
+        covs = np.stack([band_covariances(x, bands) for x in batch.data])
+    else:
+        covs = np.stack([estimate_covariance(x) for x in batch.data])[:, None]
+    return batch.data, batch.labels, covs
+
+
+def tokenize(data_cfg: DataConfig) -> TokenDataset:
+    kind = EmbeddingKind(data_cfg.embedding)
+    rows, labels, covs = _trials(data_cfg)
+    n, T, d, _ = covs.shape
+    tokens, branch = tokenize_matrices(covs.reshape(n * T, d, d), kind)
+    return TokenDataset(tokens.reshape(n, T, -1), labels, [trial_key(r) for r in rows],
+                        int(labels.max()) + 1, kind.value, branch)
 
 
 def geometric_setup(model: dict, token_ds: TokenDataset, attn_bias=None):
     """Model overrides and attention bias for a run on pre-tokenised data.
 
     With geometric attention the token kind defaults to the data's embedding,
-    and the transport-distance bias is computed unless one is passed in; the
-    bias depends only on the tokens, so callers running several seeds compute
-    it once.
+    and the transport-distance bias is computed unless one is passed in.
     """
     model = dict(model)
     if model.get("attention") == "geometric":
-        model.setdefault("token_kind", token_ds.meta["embedding"])
+        model.setdefault("token_kind", token_ds.embedding)
         if attn_bias is None:
             attn_bias = geometric_bias(token_ds.tokens, model["token_kind"])
     return model, attn_bias
@@ -262,18 +266,16 @@ class RunReport:
         }
 
 
-def _evaluate(model, tokens, labels, attn_bias=None, splits=None):
-    """[(mean loss, accuracy)] in eval mode for each index array in `splits`
-    (default: every row as one split); `attn_bias` holds the precomputed
-    geometric-attention bias of all rows of `tokens`.
+def _evaluate(model, tokens, labels, attn_bias, splits):
+    """[(mean loss, accuracy)] in eval mode for each index array in `splits`;
+    `attn_bias` holds the precomputed geometric-attention bias of all rows of
+    `tokens`, or is None.
 
     The splits' rows go through one forward pass, EVAL_BATCH rows at a time.
     Each split's loss is then summed over its own EVAL_BATCH-row chunks, so
     the result equals evaluating each split alone: eval-mode logits of a row
     do not depend on the rows that share its batch.
     """
-    if splits is None:
-        splits = (np.arange(len(labels)),)
     rows = np.concatenate(splits)
     logits = np.empty((len(rows), model.config.n_classes))
     for start in range(0, len(rows), EVAL_BATCH):
@@ -358,7 +360,7 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
         epochs=rows,
         final_test_accuracy=rows[-1]["test_acc"],
         best_val_epoch=best_epoch,
-        branch=token_ds.meta.get("branch", {}),
+        branch=token_ds.branch,
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -367,9 +369,7 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
 
 
 def write_run_dir(out_dir: str, report: RunReport, model, best_state):
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as f:
-        json.dump(report.to_metrics_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "metrics.json"), report.to_metrics_dict())
     cols = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc",
             "test_loss", "test_acc", *CLOCK_COLUMNS]
     with open(os.path.join(out_dir, "epochs.csv"), "w", encoding="utf-8") as f:
@@ -381,14 +381,19 @@ def write_run_dir(out_dir: str, report: RunReport, model, best_state):
     save_checkpoint(os.path.join(out_dir, "checkpoint_best.spdt"), header, best_state)
 
 
+def run_seeds(exp: ExperimentConfig, token_ds: TokenDataset, out_root: str | None = None):
+    """run_single for every seed of `exp` with one shared geometric bias; seed
+    N writes out_root/seed<N>, and an empty or None out_root writes nothing."""
+    _, attn_bias = geometric_setup(exp.model, token_ds)
+    return [run_single(exp, token_ds, seed,
+                       os.path.join(out_root, f"seed{seed}") if out_root else None, attn_bias)
+            for seed in exp.seeds]
+
+
 def train_experiment(exp: ExperimentConfig, out_root: str | None = None):
     """Run every seed; returns (summary dict, list of RunReports)."""
     token_ds = tokenize(exp.data)
-    _, attn_bias = geometric_setup(exp.model, token_ds)
-    reports = []
-    for seed in exp.seeds:
-        out_dir = os.path.join(out_root, f"seed{seed}") if out_root else None
-        reports.append(run_single(exp, token_ds, seed, out_dir, attn_bias))
+    reports = run_seeds(exp, token_ds, out_root)
     finals = [r.final_test_accuracy for r in reports]
     mean, std = mean_std(finals)
     wall = [row["wall_clock_s"] for r in reports for row in r.epochs]
@@ -396,12 +401,10 @@ def train_experiment(exp: ExperimentConfig, out_root: str | None = None):
         "final_test_accuracy_mean": mean,
         "final_test_accuracy_std": std,
         "per_seed": {str(r.seed): r.final_test_accuracy for r in reports},
-        "time_per_epoch_s": float(np.mean(wall)) if wall else 0.0,
-        "branch_diagnostics": token_ds.meta.get("branch", {}),
+        "time_per_epoch_s": float(np.mean(wall)),
+        "branch_diagnostics": token_ds.branch,
     }
-    if out_root is not None:
+    if out_root:
         os.makedirs(out_root, exist_ok=True)
-        with open(os.path.join(out_root, "summary.json"), "w", encoding="utf-8") as f:
-            json.dump(summary, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(os.path.join(out_root, "summary.json"), summary)
     return summary, reports

@@ -140,6 +140,24 @@ class TestLinear:
         digests = [stdout_at_blas_threads(["-c", child], t) for t in ("1", "2")]
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("m", [1596, 253, 300, 10, 36])
+    def test_input_gradient_bits_independent_of_blas_threads(self, m):
+        # the input gradient g2 @ W.T is m columns wide; OpenBLAS's kernel
+        # width is 8, and at 253, 300 and 1596 the bits of a plain product
+        # depend on the thread count
+        child = (
+            "import hashlib, numpy as np\n"
+            "from spdtok import autodiff as ad\n"
+            "rng = np.random.default_rng(5)\n"
+            f"x = ad.Tensor(rng.standard_normal((400, {m})), requires_grad=True)\n"
+            f"W = ad.Tensor(rng.standard_normal(({m}, 128)))\n"
+            "w = ad.Tensor(rng.standard_normal((51200, 1)))\n"
+            "ad.linear(ad.reshape(ad.linear(x, W), (51200,)), w).backward()\n"
+            "print(hashlib.sha256(x.grad.tobytes()).hexdigest())\n"
+        )
+        digests = [stdout_at_blas_threads(["-c", child], t) for t in ("1", "2")]
+        assert digests[0] == digests[1]
+
 
 class TestOpsAgainstFiniteDifferences:
     @pytest.mark.parametrize("op_name", ["mul", "relu", "softmax", "bmm", "bmm_t",

@@ -34,6 +34,18 @@ class TestAblate:
         assert (tmp_path / "ablation_embedding.json").is_file()
         assert "variant" in format_ablation_table(table)
 
+    def test_variant_runs_equal_train_experiment_bytes(self, tmp_path):
+        from spdtok.ablate import replace_data
+
+        exp = tiny_exp()
+        run_ablation(exp, "embedding", str(tmp_path / "abl"))
+        for kind in ("logeuclidean", "bwspd"):
+            train_experiment(replace_data(exp, embedding=kind), str(tmp_path / kind))
+            for seed in exp.seeds:
+                got = tmp_path / "abl" / "embedding" / kind / f"seed{seed}" / "metrics.json"
+                want = tmp_path / kind / f"seed{seed}" / "metrics.json"
+                assert got.read_bytes() == want.read_bytes()
+
     def test_bn_axis(self):
         table = run_ablation(tiny_exp(seeds=(3,)), "bn_embed")
         names = [r["variant"] for r in table["rows"]]
@@ -194,6 +206,33 @@ class TestCliMain:
         rc = main(["report", str(tmp_path / "missing")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["empty_object", "list", "unknown_top_key",
+                                      "synth_missing_fields", "band_mixture_misspelt",
+                                      "unknown_model_key", "unknown_embedding", "not_json"])
+    def test_bad_config_is_typed_before_data_work(self, tmp_path, capsys, monkeypatch, case):
+        from spdtok import train
+
+        def no_data_work(*args, **kwargs):
+            raise AssertionError("tokenised a config that should have been refused")
+
+        monkeypatch.setattr(train, "tokenize", no_data_work)
+        good = tiny_exp(seeds=(3,)).to_dict()
+        band = {"source": "band_mixture", "band_mixture": {"trials_per_class": 4}}
+        configs = {
+            "empty_object": {},
+            "list": [],
+            "unknown_top_key": {**good, "epoch": 3},
+            "synth_missing_fields": {**good, "data": {**good["data"], "synth": {"dim": 4}}},
+            "band_mixture_misspelt": {**good, "data": {**good["data"], **band,
+                                                       "band_mixture": {"trial_per_class": 4}}},
+            "unknown_model_key": {**good, "model": {**good["model"], "depth": 2}},
+            "unknown_embedding": {**good, "data": {**good["data"], "embedding": "riemann"}},
+        }
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text("{not json" if case == "not_json" else json.dumps(configs[case]))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cross_process_reproducibility(self, tmp_path):
         import os

@@ -381,7 +381,7 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-            arr = adam_step(arr, np.array([g]), state, lr, b1, b2, eps)
+            arr = adam_step(arr, np.array([g]), state, lr)
             assert abs(arr[0] - theta) <= 1e-12
 
     def test_class_matches_functional(self, rng):

@@ -9,6 +9,7 @@ from spdtok.container import write_matrix_container
 from spdtok.data import (
     BandMixtureSpec,
     analysis_bands,
+    band_covariances,
     bandpass,
     estimate_covariance,
     synth_band_mixture,
@@ -77,7 +78,7 @@ class TestTokenize:
         assert tds.tokens.shape == (30, 1, 10)
         assert tds.n_classes == 2
         assert len(tds.keys) == 30
-        assert tds.meta["branch"]["pairs"] == 30 * 6
+        assert tds.branch["pairs"] == 30 * 6
 
     def test_multiband_source_matches_manual(self):
         spec = BandMixtureSpec(trials_per_class=3, samples=512, seed=2)
@@ -181,6 +182,23 @@ class TestTokenize:
                                   container_path=str(path), multiband=True))
         assert tds.tokens.shape == (5, 3, 10)
 
+    @pytest.mark.parametrize("multiband", [False, True])
+    def test_segment_tokens_are_embed_batch_trial_major(self, rng, tmp_path, multiband):
+        # one stack of per-trial covariances, trial-major and band-minor
+        segs = rng.standard_normal((5, 4, 256))
+        path = tmp_path / "segs.spdt"
+        write_matrix_container(path, {"segments": segs, "labels": np.array([0., 1, 0, 1, 1]),
+                                      "sample_rate": np.float64(256.0)})
+        tds = tokenize(DataConfig(source="container", embedding="bwspd",
+                                  container_path=str(path), multiband=multiband))
+        if multiband:
+            bands = analysis_bands(256.0)
+            covs = np.concatenate([band_covariances(x, bands) for x in segs])
+        else:
+            covs = np.stack([estimate_covariance(x) for x in segs])
+        want = embed_batch(covs, EmbeddingKind.BWSPD).reshape(5, 3 if multiband else 1, 10)
+        assert tds.tokens.tobytes() == want.tobytes()
+
 
 class TestRunSingle:
     def test_one_epoch_one_row(self):
@@ -211,7 +229,7 @@ class TestRunSingle:
         exp = small_exp(model=dict(d_model=16, layers=1, heads=2, d_ff=16, dropout=0.1,
                                    attention="geometric"), epochs=1)
         tds = tokenize(exp.data)
-        assert tds.meta["embedding"] == "logeuclidean"
+        assert tds.embedding == "logeuclidean"
         rep = run_single(exp, tds, 5)
         assert rep.config["model"]["token_kind"] == "logeuclidean"
         assert rep.config["experiment"]["model"]["token_kind"] == "logeuclidean"
