@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .ablate import AXES, format_ablation_table, run_ablation
 from .bench import format_bench_table, run_bench
-from .errors import SpdTokError
+from .errors import InvalidSpec, SpdTokError
 from .report import consolidate, curves_csv, markdown_table
 from .train import ExperimentConfig, train_experiment, write_json
 from .verify import results_to_json, run_verification
@@ -28,9 +29,12 @@ from .verify import results_to_json, run_verification
 def _load_experiment(path) -> ExperimentConfig:
     exp = ExperimentConfig.from_json_file(path)
     env_seeds = os.environ.get("SPDTOK_SEED", "").replace(",", " ").split()
-    if env_seeds:
-        exp.seeds = tuple(int(tok) for tok in env_seeds)
-    return exp
+    if not env_seeds:
+        return exp
+    try:  # replace runs the config's checks on the new seeds
+        return replace(exp, seeds=tuple(int(tok) for tok in env_seeds))
+    except (ValueError, InvalidSpec) as err:
+        raise InvalidSpec(f"SPDTOK_SEED: {err}") from None
 
 
 def cmd_verify(args) -> int:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import geometry, spdcore
-from .errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples, checked_fields
+from .errors import BandOutOfRange, ConfigFields, DimMismatch, InvalidSpec, TooFewSamples
 from .spdcore import IDENTITY, SQRT, random_orthogonal, spectral_apply_batch, spectral_reconstruct, sym
 
 DEFAULT_RIDGE = 1e-6
@@ -167,7 +167,7 @@ class SegmentBatch:
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(ConfigFields):
     n_classes: int
     dim: int
     trials_per_class: int
@@ -178,28 +178,23 @@ class SynthSpec:
     eig_hi: float = 2.0
     scale: float = 1.0
     shared_basis: bool = False
-    spectra: tuple = ()  # optional per-class eigenvalue tuples
+    spectra: tuple[tuple[float, ...], ...] = ()  # optional per-class eigenvalue tuples
     frobenius_equalize: bool = False
 
-    def __post_init__(self):
-        if self.n_classes < 1 or self.dim < 1 or self.trials_per_class < 1:
-            raise InvalidSpec("n_classes, dim, trials_per_class must be >= 1")
-        if self.separation < 0 or self.dispersion < 0:
-            raise InvalidSpec("separation and dispersion must be >= 0")
-        if not (0 < self.eig_lo <= self.eig_hi):
-            raise InvalidSpec("eigenvalue range must satisfy 0 < lo <= hi")
-        if self.spectra and len(self.spectra) != self.n_classes:
-            raise InvalidSpec("spectra must list one spectrum per class")
+    RULES = {
+        "n_classes": "[1, inf)", "dim": "[1, inf)", "trials_per_class": "[1, inf)",
+        "separation": "[0, inf)", "dispersion": "[0, inf)", "seed": "[0, inf)",
+        "eig_lo": "(0, inf)", "eig_hi": "(0, inf)", "scale": "(0, inf)", "spectra": "(0, inf)",
+    }
 
-    def to_dict(self):
-        d = asdict(self)
-        d["spectra"] = [list(s) for s in self.spectra]
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = checked_fields(cls, d)
-        return cls(**{**d, "spectra": tuple(tuple(s) for s in d.get("spectra", ()))})
+    def cross_check(self):
+        if self.eig_lo > self.eig_hi:
+            raise InvalidSpec(f"eigenvalue range must satisfy eig_lo <= eig_hi, "
+                              f"got {self.eig_lo} > {self.eig_hi}")
+        if self.spectra and (len(self.spectra) != self.n_classes
+                             or any(len(lam) != self.dim for lam in self.spectra)):
+            raise InvalidSpec(f"spectra must list one spectrum of {self.dim} values "
+                              f"per class ({self.n_classes})")
 
 
 @dataclass
@@ -222,10 +217,7 @@ def synth_dataset(spec: SynthSpec) -> SpdDataset:
         if spec.spectra:
             # explicit spectra keep their slot order: with a shared basis the
             # pairing of eigenvalue to eigenvector carries the class signal
-            lam = np.asarray(spec.spectra[c], dtype=np.float64)
-            if lam.shape != (d,) or np.any(lam <= 0):
-                raise InvalidSpec(f"spectrum for class {c} must be {d} positive values")
-            lam = lam * spec.scale
+            lam = np.asarray(spec.spectra[c], dtype=np.float64) * spec.scale
         else:
             lam = np.sort(np.exp(rng.uniform(np.log(spec.eig_lo), np.log(spec.eig_hi), d)))[::-1]
             lam = lam * spec.scale
@@ -280,7 +272,7 @@ def nearest_anchor_accuracy(ds: SpdDataset) -> float:
 
 
 @dataclass(frozen=True)
-class BandMixtureSpec:
+class BandMixtureSpec(ConfigFields):
     """Two-class time-series task whose class signature is split across bands.
 
     The mu- and beta-band spatial patterns are swapped between the classes, so
@@ -296,12 +288,17 @@ class BandMixtureSpec:
     noise_scale: float = 0.3
     seed: int = 0
 
-    def to_dict(self):
-        return asdict(self)
+    RULES = {
+        "channels": "[1, inf)", "samples": "[2, inf)", "trials_per_class": "[1, inf)",
+        "broadband_leak": "[0, inf)", "noise_scale": "[0, inf)", "seed": "[0, inf)",
+    }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**checked_fields(cls, d))
+    def cross_check(self):
+        try:
+            analysis_bands(self.sample_rate_hz)
+        except BandOutOfRange as err:
+            raise InvalidSpec(f"BandMixtureSpec.sample_rate_hz={self.sample_rate_hz!r}: "
+                              f"analysis {err}") from None
 
 
 def _spatial_pattern(rng, d):

@@ -31,21 +31,21 @@ every parameter's `grad` is left as it was.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .embedding import EmbeddingKind, reconstruct_spd
-from .errors import DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch, checked_fields
+from .errors import ConfigFields, DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch
 from . import geometry
 
 ATTENTION_MODES = ("standard", "geometric")
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigFields):
     d_token: int
     n_classes: int
     d_model: int = 128
@@ -61,22 +61,17 @@ class ModelConfig:
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
 
-    def __post_init__(self):
+    RULES = {
+        "d_token": "[1, inf)", "n_classes": "[2, inf)", "d_model": "[1, inf)",
+        "layers": "[1, inf)", "heads": "[1, inf)", "d_ff": "[1, inf)", "dropout": "[0, 1)",
+        "seq_len": "[1, inf)", "attention": ATTENTION_MODES, "geo_alpha": "[0, 1]",
+        "token_kind": tuple(k.value for k in EmbeddingKind), "bn_momentum": "[0, 1]",
+        "bn_eps": "(0, inf)",
+    }
+
+    def cross_check(self):
         if self.d_model % self.heads != 0:
             raise InvalidSpec(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidSpec(f"dropout {self.dropout} outside [0, 1)")
-        if self.attention not in ATTENTION_MODES:
-            raise InvalidSpec(f"attention must be one of {ATTENTION_MODES}")
-        if self.seq_len < 1 or self.layers < 1 or self.n_classes < 2:
-            raise InvalidSpec("seq_len/layers must be >= 1 and n_classes >= 2")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**checked_fields(cls, d))
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -222,11 +217,10 @@ class SpdTokenTransformer:
             raise NonFinite("non-finite logits")
         return logits
 
-    def _attention(self, h: Tensor, i: int, attn_bias, p=None) -> Tensor:
+    def _attention(self, h: Tensor, i: int, attn_bias, p) -> Tensor:
         """Block i's self-attention on h, with weights from `p` (the live
-        parameters unless forward passes its constant eval-mode views)."""
+        parameters, or forward's constant eval-mode views of them)."""
         c = self.config
-        p = self.params if p is None else p
         batch, T, _ = h.data.shape
         if T == 1:  # softmax over one key is exactly 1 (see the module docstring)
             v = ad.linear(h, p[f"enc{i}.attn.Wv"], p[f"enc{i}.attn.bv"])

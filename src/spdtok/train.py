@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .data import (
     trial_key,
 )
 from .embedding import EmbeddingKind, embed_batch
-from .errors import InvalidSpec, checked_fields
+from .errors import ConfigFields, InvalidSpec
 from .network import ModelConfig, SpdTokenTransformer, geometric_bias
 from .optim import Adam
 from .spdcore import CLIP_FLOOR, near_degenerate
@@ -62,7 +62,7 @@ CLOCK_COLUMNS = ("wall_clock_s", "eval_clock_s")
 
 
 @dataclass
-class DataConfig:
+class DataConfig(ConfigFields):
     source: str  # "synth" | "band_mixture" | "container"
     embedding: str = EmbeddingKind.LOG_EUCLIDEAN.value
     multiband: bool = False
@@ -70,57 +70,54 @@ class DataConfig:
     band_mixture: dict | None = None
     container_path: str | None = None
     split_seed: int = 0
-    ratios: tuple = (0.70, 0.15, 0.15)
+    ratios: tuple[float, ...] = (0.70, 0.15, 0.15)
 
-    def __post_init__(self):
-        if self.source not in ("synth", "band_mixture", "container"):
-            raise InvalidSpec(f"unknown data source {self.source!r}")
+    RULES = {
+        "source": ("synth", "band_mixture", "container"),
+        "embedding": tuple(k.value for k in EmbeddingKind),
+        "split_seed": "[-9223372036854775808, 9223372036854775808)",  # int64, see split_indices
+        "ratios": "[0, 1]", "len(ratios)": "[3, 3]",
+    }
+
+    def cross_check(self):
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise InvalidSpec(f"ratios must sum to 1, got {self.ratios}")
         if self.source == "container" and not self.container_path:
             raise InvalidSpec("container source needs container_path")
         if self.multiband and self.source == "synth":
             raise InvalidSpec("multiband tokenisation needs a time-series source")
-        if self.embedding not in {k.value for k in EmbeddingKind}:
-            raise InvalidSpec(f"unknown embedding {self.embedding!r}")
-        self.ratios = tuple(self.ratios)
         if self.source != "container":  # the spec is checked now, before any data work
             spec = getattr(self, self.source)
             if not spec:
                 raise InvalidSpec(f"{self.source} source needs its spec")
-            (SynthSpec if self.source == "synth" else BandMixtureSpec).from_dict(spec)
+            spec = (SynthSpec if self.source == "synth" else BandMixtureSpec).from_dict(spec)
+            if self.source == "synth" and spec.n_classes < 2:
+                raise InvalidSpec("a synth source needs n_classes >= 2 for the model to classify")
 
-    def to_dict(self):
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**checked_fields(cls, d))
+# the ModelConfig fields run_single fills in from the tokens, as placeholders
+TOKEN_FIXED = dict(d_token=1, n_classes=2, seq_len=1)
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(ConfigFields):
     data: DataConfig
     model: dict = field(default_factory=dict)  # ModelConfig overrides
     lr: float = 1e-3
     batch_size: int = 64
     epochs: int = 50
-    seeds: tuple = DEFAULT_SEEDS
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidSpec("epochs must be >= 1")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if not self.seeds:
-            raise InvalidSpec("need at least one seed")
-        # run_single fills in the fields the tokens fix
-        checked_fields(ModelConfig, self.model, supplied=("d_token", "n_classes", "seq_len"))
+    RULES = {
+        "lr": "(0, inf)", "batch_size": "[1, inf)", "epochs": "[1, inf)",
+        "seeds": "[0, inf)", "len(seeds)": "[1, inf)",
+    }
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        d = checked_fields(cls, d)
-        return cls(**{**d, "data": DataConfig.from_dict(d["data"])})
+    def cross_check(self):
+        fixed = sorted(TOKEN_FIXED.keys() & self.model.keys())
+        if fixed:
+            raise InvalidSpec(f"model overrides {fixed}: the tokens fix them")
+        ModelConfig.from_dict({**self.model, **TOKEN_FIXED})
 
     @classmethod
     def from_json_file(cls, path):

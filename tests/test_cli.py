@@ -22,6 +22,64 @@ def tiny_exp(seeds=(3, 4)):
     )
 
 
+def _bad_configs() -> dict:
+    """Malformed experiment configs, each of which `spdtok train` must refuse
+    with `error:` and exit status 2 before tokenising."""
+    good = tiny_exp(seeds=(3,)).to_dict()
+
+    def top(**kw):
+        return {**good, **kw}
+
+    def data(**kw):
+        return top(data={**good["data"], **kw})
+
+    def model(**kw):
+        return top(model={**good["model"], **kw})
+
+    def synth(**kw):
+        return data(synth={**SYNTH, **kw})
+
+    def mixture(**kw):
+        return data(source="band_mixture", band_mixture={"trials_per_class": 4, **kw})
+
+    return {
+        "empty_object": {},
+        "list": [],
+        "unknown_top_key": top(epoch=3),
+        "synth_missing_fields": data(synth={"dim": 4}),
+        "band_mixture_misspelt": data(source="band_mixture",
+                                      band_mixture={"trial_per_class": 4}),
+        "unknown_model_key": model(depth=2),
+        "unknown_embedding": data(embedding="riemann"),
+        "zero_batch_size": top(batch_size=0),
+        "zero_heads": model(heads=0),
+        "zero_d_model": model(d_model=0),
+        "zero_d_ff": model(d_ff=0),
+        "negative_seed": top(seeds=[-1]),
+        "seeds_not_a_list": top(seeds=5),
+        "fractional_epochs": top(epochs=1.5),
+        "epochs_string": top(epochs="3"),
+        "epochs_true": top(epochs=True),
+        "negative_lr": top(lr=-1),
+        "nan_lr": top(lr=float("nan")),
+        "dropout_string": model(dropout="0.1"),
+        "geo_alpha_string": model(geo_alpha="x"),
+        "unknown_token_kind": model(attention="geometric", token_kind="foo"),
+        "negative_bn_eps": model(bn_eps=-1),
+        "two_ratios": data(ratios=[0.5, 0.5]),
+        "synth_dim_string": synth(dim="22"),
+        "synth_negative_seed": synth(seed=-1),
+        "mixture_no_trials": mixture(trials_per_class=0),
+        "mixture_negative_seed": mixture(seed=-1),
+        "mixture_float_channels": mixture(channels=8.0),
+        "mixture_no_channels": mixture(channels=0),
+        "mixture_rate_below_bands": mixture(sample_rate_hz=40),
+    }
+
+
+BAD_CONFIGS = _bad_configs()
+
+
 class TestAblate:
     def test_embedding_axis_variants(self, tmp_path):
         table = run_ablation(tiny_exp(), "embedding", str(tmp_path))
@@ -207,9 +265,7 @@ class TestCliMain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["empty_object", "list", "unknown_top_key",
-                                      "synth_missing_fields", "band_mixture_misspelt",
-                                      "unknown_model_key", "unknown_embedding", "not_json"])
+    @pytest.mark.parametrize("case", [*BAD_CONFIGS, "not_json"])
     def test_bad_config_is_typed_before_data_work(self, tmp_path, capsys, monkeypatch, case):
         from spdtok import train
 
@@ -217,22 +273,19 @@ class TestCliMain:
             raise AssertionError("tokenised a config that should have been refused")
 
         monkeypatch.setattr(train, "tokenize", no_data_work)
-        good = tiny_exp(seeds=(3,)).to_dict()
-        band = {"source": "band_mixture", "band_mixture": {"trials_per_class": 4}}
-        configs = {
-            "empty_object": {},
-            "list": [],
-            "unknown_top_key": {**good, "epoch": 3},
-            "synth_missing_fields": {**good, "data": {**good["data"], "synth": {"dim": 4}}},
-            "band_mixture_misspelt": {**good, "data": {**good["data"], **band,
-                                                       "band_mixture": {"trial_per_class": 4}}},
-            "unknown_model_key": {**good, "model": {**good["model"], "depth": 2}},
-            "unknown_embedding": {**good, "data": {**good["data"], "embedding": "riemann"}},
-        }
         cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text("{not json" if case == "not_json" else json.dumps(configs[case]))
+        cfg_path.write_text("{not json" if case == "not_json" else json.dumps(BAD_CONFIGS[case]))
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_env_seed_is_typed(self, tmp_path, capsys, monkeypatch, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(tiny_exp(seeds=(3,)).to_dict()))
+        monkeypatch.setenv("SPDTOK_SEED", value)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SPDTOK_SEED")
 
     def test_cross_process_reproducibility(self, tmp_path):
         import os

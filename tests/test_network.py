@@ -90,7 +90,7 @@ class TestForward:
         hn = p["bn.gamma"] * (h - mean) / np.sqrt(var + m.config.bn_eps) + p["bn.beta"]
         v = hn @ p["enc0.attn.Wv"] + p["enc0.attn.bv"]
         ctx_expected = v @ p["enc0.attn.Wo"] + p["enc0.attn.bo"]
-        attn = m._attention(Tensor(hn), 0, None)
+        attn = m._attention(Tensor(hn), 0, None, m.params)
         assert np.allclose(attn.data, ctx_expected, atol=1e-10)
 
     def test_permutation_equivariance(self, rng):

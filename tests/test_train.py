@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdtok import autodiff as ad
 from spdtok.container import write_matrix_container
@@ -29,6 +31,85 @@ from conftest import random_spd
 
 SYNTH = dict(n_classes=2, dim=4, trials_per_class=15, separation=1.5,
              dispersion=0.05, seed=31)
+
+NAN, INF = float("nan"), float("inf")
+# config field path -> (valid values, bad values). Model and data sizes come
+# from {0, 1, 2, 3} (64 samples at most), so that every config that builds
+# trains a tiny model on a tiny task. The fields of OPTIONAL_FIELDS are left at
+# their defaults in some configs.
+CONFIG_FIELDS = {
+    ("lr",): ([1e-3, 0.5, 1], [0, -1, NAN, INF, "0.001", True, None]),
+    ("batch_size",): ([1, 2, 3, 64], [0, -1, 2.0, "8", True, None]),
+    ("epochs",): ([1], [0, -1, 1.5, "1", True, None]),
+    ("seeds",): ([[0], [1, 2], (3,), [2**64]], [[], [-1], 5, "1", [1.0], [True], [[1]], None]),
+    ("model", "d_model"): ([1, 2, 3], [0, -2, 2.0, "2", True, None]),
+    ("model", "layers"): ([1, 2], [0, 1.0, "1", False]),
+    ("model", "heads"): ([1, 2], [0, -1, 1.5, "1", True]),
+    ("model", "d_ff"): ([1, 2, 3], [0, 2.5, "2", None]),
+    ("model", "dropout"): ([0, 0.5, 0.99], [1, 1.0, -0.1, "0.1", NAN, True, None]),
+    ("model", "use_bn_embed"): ([True, False], [1, 0, "yes", None]),
+    ("model", "attention"): (["standard", "geometric"], ["fancy", "", 1, None]),
+    ("model", "geo_alpha"): ([0, 0.5, 1], [-0.1, 1.5, "x", NAN, True]),
+    ("model", "token_kind"): (["bwspd", "logeuclidean", "euclidean"], ["foo", 1, None]),
+    ("model", "bn_momentum"): ([0, 0.1, 1], [-0.1, 1.5, "0.1", INF]),
+    ("model", "bn_eps"): ([1e-5, 1], [0, -1, "1e-5", NAN]),
+    ("model", "d_token"): ([], [1, 3]),  # fixed by the tokens
+    ("data", "source"): (["synth", "band_mixture"], ["nope", None, 1]),
+    ("data", "embedding"): (["logeuclidean", "bwspd", "euclidean"], ["riemann", 1, None]),
+    ("data", "multiband"): ([False, True], [1, "true", None]),
+    ("data", "split_seed"): ([0, -1, 2**63 - 1, -2**63], [2**63, 1.0, "0", True, None]),
+    ("data", "ratios"): ([[0.7, 0.15, 0.15], (1, 0, 0), [0, 0, 1]],
+                         [[0.5, 0.5], [1.2, -0.1, -0.1], [0.5, 0.5, 0.5], [NAN, 0.5, 0.5],
+                          "x", 1]),
+    ("data", "container_path"): ([None], [1, [""]]),
+    ("data", "synth", "n_classes"): ([1, 2, 3], [0, -1, 2.0, "2", True]),
+    ("data", "synth", "dim"): ([1, 2, 3], [0, -1, 2.0, "22", None]),
+    ("data", "synth", "trials_per_class"): ([1, 2, 3], [0, 1.5, "3"]),
+    ("data", "synth", "separation"): ([0, 0.0, 1.5], [-1, NAN, INF, "1"]),
+    ("data", "synth", "dispersion"): ([0, 0.05], [-0.1, NAN, "0"]),
+    ("data", "synth", "seed"): ([0, 13, 2**70], [-1, 1.0, "13", True, None]),
+    ("data", "synth", "eig_lo"): ([0.5, 2], [0, -1, NAN]),
+    ("data", "synth", "eig_hi"): ([2.0, 0.5], [0, INF]),
+    ("data", "synth", "scale"): ([1, 0.5], [0, -1, "1"]),
+    ("data", "synth", "shared_basis"): ([False, True], [0, "no"]),
+    ("data", "synth", "spectra"): ([[], [[1, 2], [2, 1]], [[1.0], [2.0]]],
+                                   [[[1, -1], [1, 1]], [[0, 1], [1, 1]], [[1, "2"], [1, 1]],
+                                    [[NAN, 1], [1, 1]], "x", 3]),
+    ("data", "synth", "frobenius_equalize"): ([False, True], [1, None]),
+    ("data", "band_mixture", "channels"): ([1, 2, 3], [0, -1, 8.0, "8", True]),
+    ("data", "band_mixture", "samples"): ([2, 3, 64], [0, 1, 64.0, "64"]),
+    ("data", "band_mixture", "sample_rate_hz"): ([64, 256.0, 61],
+                                                 [40, 60, 0, -1, NAN, INF, "256", True]),
+    ("data", "band_mixture", "trials_per_class"): ([1, 2, 3], [0, 1.5, None]),
+    ("data", "band_mixture", "broadband_leak"): ([0, 0.2], [-0.1, NAN, "0.2"]),
+    ("data", "band_mixture", "noise_scale"): ([0, 0.3], [-1, INF, None]),
+    ("data", "band_mixture", "seed"): ([0, 55], [-1, 1.0, "5"]),
+}
+
+OPTIONAL_FIELDS = {("model", name) for name in ("dropout", "use_bn_embed", "attention",
+                                                "geo_alpha", "token_kind", "bn_momentum",
+                                                "bn_eps")} | {("data", "synth", "spectra")}
+
+
+@st.composite
+def config_dicts(draw):
+    """(config dict, path of the one field given a bad value or None): every
+    field valid or left at its default, then in half of them one field bad."""
+    cfg = {"model": {}, "data": {"synth": {}, "band_mixture": {}}}
+
+    def put(path, value):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    for path, (valid, _) in CONFIG_FIELDS.items():
+        if valid and (path not in OPTIONAL_FIELDS or draw(st.booleans())):
+            put(path, draw(st.sampled_from(valid)))
+    bad = draw(st.sampled_from(list(CONFIG_FIELDS))) if draw(st.booleans()) else None
+    if bad is not None:
+        put(bad, draw(st.sampled_from(CONFIG_FIELDS[bad][1])))
+    return cfg, bad
 
 
 def small_exp(**kw):
@@ -60,6 +141,26 @@ class TestConfigs:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(exp.to_dict()))
         assert ExperimentConfig.from_json_file(path).to_dict() == exp.to_dict()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(config_dicts())
+    def test_config_is_refused_typed_or_trains(self, drawn):
+        # a config with a bad field is an InvalidSpec; one that builds trains
+        # an epoch with no exception. Only the synth draw may still refuse it,
+        # when its class anchors coincide and cannot be separated.
+        cfg, bad = drawn
+        try:
+            exp = ExperimentConfig.from_dict(cfg)
+        except InvalidSpec:
+            return
+        unused = {"synth": "band_mixture", "band_mixture": "synth"}[exp.data.source]
+        assert bad is None or bad[:2] == ("data", unused), f"built with a bad {bad}"
+        try:
+            tds = tokenize(exp.data)
+        except InvalidSpec as err:
+            assert "anchors coincide" in str(err)
+            return
+        run_single(exp, tds, exp.seeds[0])
 
 
 class TestTokenize:
