@@ -27,9 +27,14 @@ drawn with a controlled spectrum, rescaled so every anchor pair is at least
 `separation` apart in transport distance (the distance is 1-homogeneous in
 sqrt-space scale, so a global rescale is enough), and each trial is
 (sqrt(mu_k) + delta)^2 with ||delta||_F = dispersion * ||sqrt(mu_k)||_F * u,
-u ~ U(0.5, 1). Because the draw order does not depend on the dispersion
-value, datasets generated from the same seed are perturbation-paired across
-dispersion levels, which the second-order batch-normalisation check exploits.
+u ~ U(0.5, 1). A squared draw is only positive semidefinite, so the draws
+below the 1e-12 eigenvalue floor are clipped onto the SPD cone
+(`spdcore.clip_to_cone`); every other draw keeps its bits, and the tokeniser
+decomposes it once. Anchors closer than `ANCHOR_COINCIDE_RTOL` times the
+largest sqrt-anchor norm cannot be separated and are refused. Because the
+draw order does not depend on the dispersion value, datasets generated from
+the same seed are perturbation-paired across dispersion levels, which the
+second-order batch-normalisation check exploits.
 """
 
 from __future__ import annotations
@@ -39,12 +44,16 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import geometry, spdcore
+from . import geometry
 from .errors import BandOutOfRange, ConfigFields, DimMismatch, InvalidSpec, TooFewSamples
-from .spdcore import IDENTITY, SQRT, random_orthogonal, spectral_apply_batch, spectral_reconstruct, sym
+from .spdcore import (IDENTITY, SQRT, clip_to_cone, random_orthogonal, spectral_apply_batch,
+                      spectral_reconstruct, sym)
 
 DEFAULT_RIDGE = 1e-6
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
+# anchors closer than this times the largest sqrt-anchor norm count as one:
+# their distance is rounding, and rescaling it to `separation` would blow up
+ANCHOR_COINCIDE_RTOL = 1e-9
 
 
 # -- covariance and filtering ---------------------------------------------------
@@ -233,8 +242,10 @@ def synth_dataset(spec: SynthSpec) -> SpdDataset:
         dists = [geometry.bw_distance(anchors[a], anchors[b])
                  for a in range(k) for b in range(a + 1, k)]
         m = min(dists)
-        if m <= 0:
-            raise InvalidSpec("anchors coincide; cannot enforce separation")
+        scale = np.linalg.norm(sqrt_anchors, axis=(1, 2)).max()
+        if m <= ANCHOR_COINCIDE_RTOL * scale:
+            raise InvalidSpec(f"anchors coincide (smallest distance {m:.3e}, largest sqrt-anchor "
+                              f"norm {scale:.3e}); cannot enforce separation")
         if m < spec.separation:
             gamma = 1.02 * spec.separation / m
             sqrt_anchors *= gamma
@@ -256,8 +267,8 @@ def synth_dataset(spec: SynthSpec) -> SpdDataset:
             mats[idx] = sym(S @ S)
             labels[idx] = c
             idx += 1
-    # clip to the SPD cone: squared symmetric matrices are only PSD
-    mats = spectral_apply_batch(mats, IDENTITY, spdcore.CLIP_FLOOR)
+    # squared symmetric matrices are only PSD: clip the ones below the floor
+    mats = clip_to_cone(mats)
     return SpdDataset(matrices=mats, labels=labels, anchors=anchors, spec=spec)
 
 

@@ -101,11 +101,12 @@ def embed_batch(Cs: np.ndarray, kind: EmbeddingKind, *, return_values: bool = Fa
     Cs = np.asarray(Cs, dtype=np.float64)
     if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2] or Cs.shape[1] == 0:
         raise DimMismatch(f"expected a (batch, d, d) stack with d >= 1, got shape {Cs.shape}")
-    Cs = sym(Cs)
     values = None
-    if kind is not EmbeddingKind.EUCLIDEAN:
+    if kind is EmbeddingKind.EUCLIDEAN:
+        Cs = sym(Cs)
+    else:
         fn = SQRT if kind is EmbeddingKind.BWSPD else LOG
-        V, values = spdcore.eig_sym_batch(Cs)
+        V, values = spdcore.eig_sym_batch(Cs)  # symmetrises its input
         Cs = spdcore.spectral_reconstruct(V, values, fn)
     tokens = vech_batch(Cs)
     return (tokens, values) if return_values else tokens
@@ -116,7 +117,8 @@ def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind) -> np.ndarray:
 
     Takes a (n, D) stack or one (D,) token. sqrt tokens are unpacked and
     squared; log tokens are unpacked and exponentiated; flat tokens are
-    unpacked directly and clipped to the SPD cone at spdcore.CLIP_FLOOR.
+    unpacked directly, and those below spdcore.CLIP_FLOOR are clipped onto
+    the SPD cone by spdcore.clip_to_cone.
     """
     kind = EmbeddingKind(kind)
     tokens = np.asarray(tokens, dtype=np.float64)
@@ -126,7 +128,7 @@ def reconstruct_spd(tokens: np.ndarray, kind: EmbeddingKind) -> np.ndarray:
     elif kind is EmbeddingKind.LOG_EUCLIDEAN:
         out = spdcore.spectral_apply_batch(M, EXP, clip=-np.inf)
     else:
-        out = spdcore.spectral_apply_batch(M, spdcore.IDENTITY)
+        out = spdcore.clip_to_cone(M)
     return out if tokens.ndim > 1 else out[0]
 
 

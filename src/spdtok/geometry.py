@@ -39,7 +39,7 @@ import numpy as np
 from . import spdcore
 from .embedding import vech_batch
 from .errors import DimMismatch, InvalidSpec, NoConvergence
-from .spdcore import IDENTITY, LOG, SQRT, spectral_apply, spectral_apply_batch, sym
+from .spdcore import LOG, SQRT, spectral_apply, spectral_apply_batch, sym
 
 DISTORTION_SLACK = 1e-9
 
@@ -120,17 +120,15 @@ def bw_barycenter(Cs, max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
 
     Initialised at the Euclidean mean. Returns the first iterate whose
     fixed-point residual is at most tol * ||mu||_F; raises NoConvergence with
-    the last iterate and residual attached otherwise. A stack with a matrix
-    not above the CLIP_FLOOR (its Cholesky test fails) is first clipped onto
-    the cone, so the result is the barycenter of the clipped matrices.
+    the last iterate and residual attached otherwise. The matrices not above
+    the CLIP_FLOOR (their Cholesky test fails) are first clipped onto the
+    cone by spdcore.clip_to_cone, so the result is the barycenter of the
+    clipped stack.
     """
     stack = np.asarray(Cs, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
         raise DimMismatch(f"expected a nonempty (n, d, d) stack, got {stack.shape}")
-    try:
-        np.linalg.cholesky(stack - spdcore.CLIP_FLOOR * np.eye(stack.shape[1]))
-    except np.linalg.LinAlgError:
-        stack = spectral_apply_batch(stack, IDENTITY)
+    stack = spdcore.clip_to_cone(stack)
     mu = sym(np.mean(stack, axis=0))
     residual = np.inf
     for _ in range(max_iter):

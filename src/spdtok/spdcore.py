@@ -15,8 +15,9 @@ eigenvalues nearly coincides.
 
 The eigensolver is LAPACK's symmetric driver through np.linalg.eigh, applied
 to the exactly symmetrised input. Its output is put in a canonical form: the
-eigenvalues in descending order (a stable sort, so ties keep LAPACK's order)
-and each eigenvector's largest-magnitude component positive. LAPACK
+eigenvalues in descending order (LAPACK's ascending order reversed, or a
+stable sort when two are exactly equal, so ties keep LAPACK's order) and
+each eigenvector's largest-magnitude component positive. LAPACK
 decomposes every matrix of a stack on its own, so a matrix's eigenpair, and
 every token and distance built from it, is bit-identical whatever else shares
 its batch. All routines are pure and deterministic: the same input bytes
@@ -49,7 +50,10 @@ sandwich. All of these work over any leading stack axes, and row i of a
 stacked call is the bits of the one-matrix call. The eigenvalue floor
 `CLIP_FLOOR` and the near-degeneracy tolerance `DEGENERACY_REL_TOL` are fixed
 constants; only the forward maps take another floor (0 for the synthetic
-anchors, -inf for `EXP`).
+anchors, -inf for `EXP`). `clip_to_cone` is the one clip of a stack onto the
+SPD cone: a matrix that passes the Cholesky test of C - CLIP_FLOOR * I keeps
+its bits, and only the others are decomposed and rebuilt; the synthetic
+draws, the barycenter's input and flat tokens all go through it.
 """
 
 from __future__ import annotations
@@ -130,15 +134,20 @@ def eig_sym_batch(Cs: np.ndarray):
     Cs = np.asarray(Cs, dtype=np.float64)
     if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2] or Cs.shape[1] == 0:
         raise DimMismatch(f"expected a (batch, d, d) stack with d >= 1, got shape {Cs.shape}")
-    if not np.all(np.isfinite(Cs)):
+    S = sym(Cs)
+    if not np.all(np.isfinite(S)):
         raise NonFinite("stack contains NaN or Inf")
     try:
-        vals, V = np.linalg.eigh(sym(Cs))
+        vals, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError as err:
         raise NoConvergence(f"LAPACK eigensolver failed: {err}") from err
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    if np.all(vals[:, 1:] > vals[:, :-1]):
+        # LAPACK's ascending order with no exact tie: descending is the reverse
+        vals, V = vals[:, ::-1].copy(), V[:, :, ::-1]
+    else:
+        order = np.argsort(-vals, axis=1, kind="stable")
+        vals = np.take_along_axis(vals, order, axis=1)
+        V = np.take_along_axis(V, order[:, None, :], axis=2)
     # sign convention: largest-magnitude component of each eigenvector positive
     idx = np.argmax(np.abs(V), axis=1)
     picked = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
@@ -168,6 +177,38 @@ def spectral_apply_batch(Cs: np.ndarray, fn: SpectralFn, clip: float = CLIP_FLOO
     """Batched spectral_apply over a (batch, d, d) stack."""
     V, vals = eig_sym_batch(Cs)
     return spectral_reconstruct(V, vals, fn, clip)
+
+
+def clip_to_cone(Cs: np.ndarray) -> np.ndarray:
+    """A symmetric (n, d, d) stack clipped onto the SPD cone at CLIP_FLOOR.
+
+    A matrix whose C - CLIP_FLOOR * I passes a Cholesky test comes back with
+    its own bits; every other one is replaced by its spectral_apply_batch(.,
+    IDENTITY) row. One stacked test covers a stack that needs no clip (the
+    result may then be the input itself); only when it fails is each matrix
+    tested on its own. The input is never written. Cholesky reads the lower
+    triangle, so the input must be symmetric. Raises NonFinite on NaN or Inf.
+    """
+    Cs = np.asarray(Cs, dtype=np.float64)
+    if Cs.ndim != 3 or Cs.shape[1] != Cs.shape[2] or Cs.shape[1] == 0:
+        raise DimMismatch(f"expected a (n, d, d) stack with d >= 1, got shape {Cs.shape}")
+    if not np.all(np.isfinite(Cs)):
+        raise NonFinite("stack contains NaN or Inf")
+    shifted = Cs - CLIP_FLOOR * np.eye(Cs.shape[1])
+    if _cholesky_passes(shifted):
+        return Cs
+    below = np.array([not _cholesky_passes(S) for S in shifted])
+    out = Cs.copy()
+    out[below] = spectral_apply_batch(Cs[below], IDENTITY)
+    return out
+
+
+def _cholesky_passes(S: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def near_degenerate(values: np.ndarray) -> np.ndarray:

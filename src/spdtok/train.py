@@ -320,7 +320,6 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
     rows = []
     best_val = -1.0
     best_epoch = 0
-    best_state = model.state_arrays()
     for epoch in range(exp.epochs):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(train_idx)

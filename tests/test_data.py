@@ -22,6 +22,7 @@ from spdtok.data import (
 from spdtok.embedding import EmbeddingKind, embed, embed_batch
 from spdtok.errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples
 from spdtok.geometry import bw_distance, dispersion_report
+from spdtok import spdcore
 from spdtok.spdcore import SQRT, eig_sym, spectral_apply_batch
 
 from conftest import stdout_at_blas_threads
@@ -275,6 +276,31 @@ class TestSynthDataset:
             SynthSpec(n_classes=0, dim=3, trials_per_class=1, separation=1, dispersion=0, seed=0)
         with pytest.raises(InvalidSpec):
             SynthSpec(n_classes=1, dim=3, trials_per_class=1, separation=-1, dispersion=0, seed=0)
+
+    @pytest.mark.parametrize("fields", [
+        dict(dim=3, eig_lo=0.5, eig_hi=0.5),  # every anchor 0.5 I, apart by rounding
+        dict(dim=3, shared_basis=True, spectra=((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))),
+        dict(dim=1, eig_lo=0.5, eig_hi=0.5),  # exactly equal 1 x 1 anchors
+    ])
+    def test_coinciding_anchors_refused(self, fields):
+        # separating anchors that are equal up to rounding would rescale them
+        # by about 1e15; the spec is refused instead
+        spec = SynthSpec(n_classes=2, trials_per_class=2, separation=1.5,
+                         dispersion=0.1, seed=0, **fields)
+        with pytest.raises(InvalidSpec, match="anchors coincide"):
+            synth_dataset(spec)
+
+    def test_draws_above_the_floor_are_not_decomposed(self, monkeypatch):
+        # the draws are far above the floor, so the cone clip keeps them as
+        # drawn and only the tokeniser decomposes them
+        calls = []
+        eig = spdcore.eig_sym_batch
+        monkeypatch.setattr(spdcore, "eig_sym_batch", lambda Cs: calls.append(len(Cs)) or eig(Cs))
+        ds = synth_dataset(SynthSpec(n_classes=1, dim=6, trials_per_class=20,
+                                     separation=0.0, dispersion=0.2, seed=8))
+        assert calls == []
+        assert np.array_equal(ds.matrices, np.swapaxes(ds.matrices, 1, 2))
+        assert np.all(np.linalg.eigvalsh(ds.matrices)[:, 0] > 1e-3)
 
     def test_spec_round_trip(self):
         spec = SynthSpec(n_classes=2, dim=3, trials_per_class=4, separation=1.0,

@@ -111,6 +111,24 @@ class TestEigSym:
         for i in range(7):
             check_eigenpair(spdcore.EigenPair(V[i], lam[i]), Cs[i])
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_canonical_form_is_the_stable_descending_sort(self, rng, ties):
+        # LAPACK's ascending output put in canonical form by a stable sort
+        # of -values and the sign rule; exact ties keep LAPACK's order
+        Cs = np.stack([random_spd(rng, 6) for _ in range(5)])
+        if ties:
+            Cs[1] = np.eye(6)
+            Cs[3] = np.diag([2.0, 1.0, 2.0, 3.0, 1.0, 2.0])
+        w, U = np.linalg.eigh(Cs)
+        order = np.argsort(-w, axis=1, kind="stable")
+        want_vals = np.take_along_axis(w, order, axis=1)
+        U = np.take_along_axis(U, order[:, None, :], axis=2)
+        picked = np.take_along_axis(U, np.argmax(np.abs(U), axis=1)[:, None, :], axis=1)
+        want_V = U * np.where(picked < 0.0, -1.0, 1.0)
+        V, vals = eig_sym_batch(Cs)
+        assert V.tobytes() == want_V.tobytes() and vals.tobytes() == want_vals.tobytes()
+        assert V.flags.c_contiguous and vals.flags.c_contiguous
+
 
 class TestSpectralApply:
     def test_sqrt_diagonal(self):
@@ -472,6 +490,83 @@ class TestStackedBackward:
         flat = spectral_backward(spdcore.EigenPair(V, vals), LOG, G.reshape(6, 4, 4))
         assert out.shape == (2, 3, 4, 4)
         assert out.tobytes() == flat.tobytes()
+
+
+CONE_PROFILES = ("zero", "singular", "indefinite", "graded", "near_floor", "spd")
+
+
+@st.composite
+def cone_stacks(draw):
+    """(profiles, stack): n symmetric matrices, each zero, singular PSD,
+    indefinite, graded SPD with kappa up to 1e8, with eigenvalues within 1e-3
+    relative of CLIP_FLOOR, or SPD well above the floor."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    profiles = draw(st.lists(st.sampled_from(CONE_PROFILES), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for profile in profiles:
+        if profile == "zero":
+            mats.append(np.zeros((d, d)))
+            continue
+        lam = rng.uniform(0.5, 2.0, d)
+        if profile == "singular":
+            lam[rng.integers(d)] = 0.0
+        elif profile == "indefinite":
+            lam[rng.integers(d)] = -rng.uniform(1e-6, 1.0)
+        elif profile == "graded":
+            lam *= np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 8.0), d)
+        elif profile == "near_floor":
+            lam = spdcore.CLIP_FLOOR * (1.0 + rng.uniform(-1e-3, 1e-3, d))
+        Q = spdcore.random_orthogonal(rng, d)
+        mats.append(spdcore.spectral_reconstruct(Q, lam, IDENTITY, clip=-np.inf))
+    return profiles, np.stack(mats)
+
+
+def passes_cholesky(C):
+    try:
+        np.linalg.cholesky(C - spdcore.CLIP_FLOOR * np.eye(len(C)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestClipToCone:
+    """The one cone clip: rows above the floor keep their bits, the others are
+    their spectral_apply_batch(., IDENTITY) rows, and the input is not written."""
+
+    @PROPERTY
+    @given(cone_stacks())
+    def test_rows(self, drawn):
+        profiles, Cs = drawn
+        before = Cs.copy()
+        out = spdcore.clip_to_cone(Cs)
+        assert Cs.tobytes() == before.tobytes()
+        assert out.shape == Cs.shape
+        for i, C in enumerate(Cs):
+            assert out[i].tobytes() == spdcore.clip_to_cone(Cs[i:i + 1])[0].tobytes()
+            if passes_cholesky(C):
+                assert out[i].tobytes() == C.tobytes()
+            else:
+                assert out[i].tobytes() == spectral_apply_batch(C[None], IDENTITY)[0].tobytes()
+            if profiles[i] in ("zero", "singular", "indefinite"):
+                assert not passes_cholesky(C)
+            # PSD up to the rebuild's rounding
+            lam_min = np.linalg.eigvalsh(out[i])[0]
+            assert lam_min >= -1e-14 * max(1.0, np.abs(out[i]).max())
+
+    def test_zero_matrix_clips_to_the_floor(self):
+        out = spdcore.clip_to_cone(np.zeros((2, 3, 3)))
+        assert np.array_equal(out, np.broadcast_to(spdcore.CLIP_FLOOR * np.eye(3), (2, 3, 3)))
+
+    def test_malformed_and_nonfinite_rejected(self):
+        with pytest.raises(DimMismatch):
+            spdcore.clip_to_cone(np.eye(3))
+        with pytest.raises(DimMismatch):
+            spdcore.clip_to_cone(np.zeros((2, 0, 0)))
+        C = np.eye(3)[None].copy()
+        C[0, 2, 2] = np.inf
+        with pytest.raises(NonFinite):
+            spdcore.clip_to_cone(C)
 
 
 STACKED_BACKWARD_HASH = """
