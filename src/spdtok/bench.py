@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, checked_seed
 from .spdcore import (
     CLIP_FLOOR,
     IDENTITY,
@@ -53,9 +53,10 @@ def _ms_per_matrix(call, trials):
 
 def run_bench(dims, trials: int = 20, seed: int = 0) -> dict:
     dims = sorted(set(int(d) for d in dims))
-    if trials < 1 or any(d < 2 for d in dims):
-        raise InvalidSpec("bench needs trials >= 1 and dims >= 2")
-    rng = np.random.default_rng(seed)
+    if trials < 1 or not dims or any(d < 2 for d in dims):
+        raise InvalidSpec(f"bench needs trials >= 1 and dims >= 2, got trials {trials} "
+                          f"and dims {dims}")
+    rng = np.random.default_rng(checked_seed(seed))
     rows = []
     ratios = []
     for d in dims:

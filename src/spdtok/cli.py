@@ -73,7 +73,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(tok) for tok in args.dims.replace(",", " ").split()]
+    try:
+        dims = [int(tok) for tok in args.dims.replace(",", " ").split()]
+    except ValueError:
+        raise InvalidSpec(f"--dims takes comma-separated integers, got {args.dims!r}") from None
     result = run_bench(dims, trials=args.trials, seed=args.seed)
     print(format_bench_table(result))
     if args.json:

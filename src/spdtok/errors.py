@@ -106,6 +106,14 @@ class ChecksumMismatch(ContainerError):
     """Stored CRC32 does not match the payload."""
 
 
+def checked_seed(seed) -> int:
+    """`seed` if it is a non-negative int (not a bool), the seeds numpy's
+    generators take; InvalidSpec otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def checked_fields(cls, obj) -> dict:
     """`obj`, a config object read from outside, as keyword arguments of `cls`;
     InvalidSpec unless it is a dict that binds to them."""

@@ -21,12 +21,25 @@ distances for `bw_distance_pairs` (its BW branch), `bw_distances_to` and
 `dispersion_report`. `distortion_checks` is the batched distortion-bound
 kernel and `distortion_check` its one-pair wrapper.
 
-The barycenter solves the fixed-point equation
+The barycenter solves the fixed-point equation mu = T(mu), with
 
-    mu = (1/n) sum_i (mu^{1/2} C_i mu^{1/2})^{1/2}
+    T(mu) = (1/n) sum_i (mu^{1/2} C_i mu^{1/2})^{1/2}
 
-by direct iteration from the Euclidean mean, which converges linearly for the
-clustered batches this package produces and is residual-checked on exit.
+(`barycenter_map`), from the Euclidean mean by the update
+
+    mu <- mu^{-1/2} T(mu)^2 mu^{-1/2}
+
+of Alvarez-Esteban, del Barrio, Cuesta-Albertos & Matran (J. Math. Anal.
+Appl. 441, 2016), which has the same fixed point. Chewi, Maunu, Rigollet &
+Stromme (COLT 2020) show it is Riemannian gradient descent with step 1 and
+converges linearly. mu^{-1/2} comes from the eigendecomposition that gives
+mu^{1/2}, so a step costs one decomposition of mu and one of the stack. On
+the clustered 5 x 5 batches of 32 that `verify` and the acceptance tests
+draw (dispersion 0.02 to 0.2) it meets the 1e-10 residual test after 3 to 6
+maps, where the direct iteration mu <- T(mu) needs 21 to 31. The exit test is
+on the fixed-point residual ||mu - T(mu)||_F. `bw_barycenter` solves a stack
+of independent problems in one loop: each problem leaves it at its own first
+passing iterate, and the others go on, on the open rows only.
 """
 
 from __future__ import annotations
@@ -39,9 +52,10 @@ import numpy as np
 from . import spdcore
 from .embedding import vech_batch
 from .errors import DimMismatch, InvalidSpec, NoConvergence
-from .spdcore import LOG, SQRT, spectral_apply, spectral_apply_batch, sym
+from .spdcore import LOG, SQRT, SpectralFn, spectral_apply, spectral_apply_batch, sym
 
 DISTORTION_SLACK = 1e-9
+_INV_SQRT = SpectralFn("inv_sqrt", lambda x: 1.0 / np.sqrt(x), lambda x: -0.5 / (x * np.sqrt(x)))
 
 
 class DistanceKind(str, Enum):
@@ -106,42 +120,80 @@ def distance(A: np.ndarray, B: np.ndarray, kind: DistanceKind) -> float:
     return float(distance_pairs(A[None], B[None], kind)[0])
 
 
+def _barycenter_maps(V: np.ndarray, values: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """T(mu_p) = (1/n) sum_i (sqrt(mu_p) C_pi sqrt(mu_p))^{1/2} for (P, d, d)
+    iterates given by their eigendecomposition and (P, n, d, d) stacks. The
+    eigenvalues of sqrt(mu) C sqrt(mu) scale as lambda^2, so they are floored
+    at CLIP_FLOOR^2, the value two clipped factors give."""
+    sq = spdcore.spectral_reconstruct(V, values, SQRT)[:, None]
+    P, n, d, _ = stacks.shape
+    roots = spectral_apply_batch((sq @ stacks @ sq).reshape(-1, d, d), SQRT,
+                                 spdcore.CLIP_FLOOR ** 2)
+    return sym(np.mean(roots.reshape(P, n, d, d), axis=1))
+
+
+def _next_iterates(V: np.ndarray, values: np.ndarray, mapped: np.ndarray) -> np.ndarray:
+    """mu^{-1/2} T(mu)^2 mu^{-1/2} for (P, d, d) iterates given by their
+    eigendecomposition and their (P, d, d) images under T, as M^T M with
+    M = T(mu) mu^{-1/2}."""
+    M = mapped @ spdcore.spectral_reconstruct(V, values, _INV_SQRT)
+    return sym(np.swapaxes(M, -1, -2) @ M)
+
+
 def barycenter_map(mu: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """One fixed-point step mu -> (1/n) sum_i (sqrt(mu) C_i sqrt(mu))^{1/2}.
-    The eigenvalues of sqrt(mu) C_i sqrt(mu) scale as lambda^2, so they are
-    floored at CLIP_FLOOR^2, the value two clipped factors give."""
-    sq = spectral_apply(mu, SQRT)
-    roots = spectral_apply_batch(sq @ stack @ sq, SQRT, spdcore.CLIP_FLOOR ** 2)
-    return sym(np.mean(roots, axis=0))
+    """The fixed-point map T: mu -> (1/n) sum_i (sqrt(mu) C_i sqrt(mu))^{1/2}."""
+    V, values = spdcore.eig_sym_batch(np.asarray(mu, dtype=np.float64)[None])
+    return _barycenter_maps(V, values, np.asarray(stack, dtype=np.float64)[None])[0]
 
 
 def bw_barycenter(Cs, max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
-    """Fixed point of mu -> (1/n) sum_i (sqrt(mu) C_i sqrt(mu))^{1/2}.
+    """Barycenters of an (n, d, d) stack, or of each (n, d, d) stack of a
+    (P, n, d, d) stack of independent problems: fixed points of T, the map
+    `barycenter_map`.
 
-    Initialised at the Euclidean mean. Returns the first iterate whose
-    fixed-point residual is at most tol * ||mu||_F; raises NoConvergence with
-    the last iterate and residual attached otherwise. The matrices not above
-    the CLIP_FLOOR (their Cholesky test fails) are first clipped onto the
-    cone by spdcore.clip_to_cone, so the result is the barycenter of the
-    clipped stack.
+    Each problem starts at its Euclidean mean and returns the first iterate
+    whose fixed-point residual ||mu - T(mu)||_F is at most tol * ||mu||_F, bit
+    for bit what solving it alone returns; the problems still open go on
+    alone. When some problem has not converged after max_iter steps,
+    NoConvergence is raised with its last iterate and residual attached: a
+    (d, d) iterate and a float for one stack, and for a stack of problems the
+    (k, d, d) iterates and (k,) residuals of the k problems the message names.
+    The matrices not above the CLIP_FLOOR (their Cholesky test fails) are
+    first clipped onto the cone by spdcore.clip_to_cone, so the result is the
+    barycenter of the clipped stack.
     """
-    stack = np.asarray(Cs, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
-        raise DimMismatch(f"expected a nonempty (n, d, d) stack, got {stack.shape}")
-    stack = spdcore.clip_to_cone(stack)
-    mu = sym(np.mean(stack, axis=0))
-    residual = np.inf
+    stacks = np.asarray(Cs, dtype=np.float64)
+    solo = stacks.ndim == 3
+    if solo:
+        stacks = stacks[None]
+    if stacks.ndim != 4 or 0 in stacks.shape[:2] or stacks.shape[2] != stacks.shape[3]:
+        raise DimMismatch(f"expected a nonempty (n, d, d) or (P, n, d, d) stack, "
+                          f"got {np.shape(Cs)}")
+    shape = stacks.shape
+    stacks = spdcore.clip_to_cone(stacks.reshape(-1, *shape[2:])).reshape(shape)
+    mus = sym(np.mean(stacks, axis=1))
+    out = np.empty_like(mus)
+    open_ = np.arange(shape[0])
+    residuals = np.full(shape[0], np.inf)
     for _ in range(max_iter):
-        mapped = barycenter_map(mu, stack)
-        residual = float(np.linalg.norm(mu - mapped))
-        if residual <= tol * np.linalg.norm(mu):
-            return mu
-        mu = mapped
+        V, values = spdcore.eig_sym_batch(mus)
+        mapped = _barycenter_maps(V, values, stacks)
+        # a norm per 2-D slice takes the dot product of a one-problem call, so
+        # a problem's exit test does not depend on the others
+        residuals = np.array([np.linalg.norm(mu - t) for mu, t in zip(mus, mapped)])
+        done = np.array([r <= tol * np.linalg.norm(mu) for r, mu in zip(residuals, mus)])
+        out[open_[done]] = mus[done]
+        if done.all():
+            return out[0] if solo else out
+        keep = ~done
+        open_, stacks, residuals = open_[keep], stacks[keep], residuals[keep]
+        mus = _next_iterates(V[keep], values[keep], mapped[keep])
+    which = "" if solo else f" for problems {open_.tolist()}"
     raise NoConvergence(
-        f"barycenter fixed point not converged after {max_iter} iterations "
-        f"(residual {residual:.3e})",
-        last=mu,
-        residual=residual,
+        f"barycenter fixed point not converged after {max_iter} iterations{which} "
+        f"(residual {', '.join(f'{r:.3e}' for r in residuals)})",
+        last=mus[0] if solo else mus,
+        residual=float(residuals[0]) if solo else residuals,
     )
 
 
@@ -151,7 +203,8 @@ class DispersionReport:
 
     epsilon is max_i d_bw(C_i, mu) / ||sqrt(mu)||_F; sqrt_mean_gap is
     ||sqrt(mu) - mean_i sqrt(C_i)||_F, the quantity whose second-order decay
-    in epsilon justifies flat batch normalisation of sqrt-space tokens.
+    in epsilon justifies flat batch normalisation of sqrt-space tokens. Floats
+    for one stack; (P, d, d) and (P,) arrays for a stack of P problems.
     """
 
     barycenter: np.ndarray
@@ -160,15 +213,27 @@ class DispersionReport:
 
 
 def dispersion_report(Cs) -> DispersionReport:
-    stack = np.asarray(Cs, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[0] < 2:
-        raise InvalidSpec(f"need at least two matrices, got shape {stack.shape}")
-    mu = bw_barycenter(stack)
-    sq_mu = spectral_apply(mu, SQRT)
-    sq_stack = spectral_apply_batch(stack, SQRT)
-    epsilon = float(np.max(_bw_from_sqrts(sq_mu, sq_stack)) / np.linalg.norm(sq_mu))
-    gap = float(np.linalg.norm(sq_mu - np.mean(sq_stack, axis=0)))
-    return DispersionReport(barycenter=mu, epsilon=epsilon, sqrt_mean_gap=gap)
+    """DispersionReport of an (n, d, d) stack, with float fields, or of each
+    stack of a (P, n, d, d) stack of problems, with (P, d, d) barycenters and
+    (P,) arrays; the barycenters come from one bw_barycenter call, so each
+    problem keeps the bits of its one-stack report."""
+    stacks = np.asarray(Cs, dtype=np.float64)
+    solo = stacks.ndim == 3
+    if solo:
+        stacks = stacks[None]
+    if stacks.ndim != 4 or stacks.shape[1] < 2:
+        raise InvalidSpec(f"need at least two matrices per stack, got shape {np.shape(Cs)}")
+    mus = bw_barycenter(stacks)
+    sq_mus = spectral_apply_batch(mus, SQRT)
+    sq_stacks = spectral_apply_batch(stacks.reshape(-1, *stacks.shape[2:]), SQRT)
+    sq_stacks = sq_stacks.reshape(stacks.shape)
+    worst = np.max(_bw_from_sqrts(sq_mus[:, None], sq_stacks), axis=1)
+    epsilon = np.array([w / np.linalg.norm(s) for w, s in zip(worst, sq_mus)])
+    gap = np.array([np.linalg.norm(s - m) for s, m in zip(sq_mus, np.mean(sq_stacks, axis=1))])
+    if solo:
+        return DispersionReport(barycenter=mus[0], epsilon=float(epsilon[0]),
+                                sqrt_mean_gap=float(gap[0]))
+    return DispersionReport(barycenter=mus, epsilon=epsilon, sqrt_mean_gap=gap)
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,21 @@ from .stats import mean_std
 
 
 def load_run(run_dir: str) -> dict:
+    """A run's metrics.json, with `epoch_clock_s`: each epoch's seconds, its
+    training loop and its evaluation, from epochs.csv."""
     metrics_path = os.path.join(run_dir, "metrics.json")
     epochs_path = os.path.join(run_dir, "epochs.csv")
     if not os.path.isfile(metrics_path):
         raise MissingRun(f"{run_dir} has no metrics.json")
     with open(metrics_path, "r", encoding="utf-8") as f:
         metrics = json.load(f)
-    wall = []
+    epoch_s = []
     if os.path.isfile(epochs_path):
         with open(epochs_path, newline="", encoding="utf-8") as f:
             for row in csv.DictReader(f):
-                wall.append(float(row["wall_clock_s"]))
-    metrics["wall_clock_s"] = wall
+                # an epochs.csv without the eval_clock_s column timed the loop only
+                epoch_s.append(float(row["wall_clock_s"]) + float(row.get("eval_clock_s") or 0.0))
+    metrics["epoch_clock_s"] = epoch_s
     metrics["run_dir"] = run_dir
     return metrics
 
@@ -44,7 +47,8 @@ def _diff_paths(a, b, prefix=""):
 
 
 def consolidate(run_dirs) -> dict:
-    """Merge runs of one experiment (same config, different seeds).
+    """Merge runs of one experiment (same config, different seeds); the time
+    per epoch counts each epoch's evaluation.
 
     Refuses to merge runs whose configs differ, listing the differing keys.
     """
@@ -60,7 +64,7 @@ def consolidate(run_dirs) -> dict:
                 + ", ".join(diffs))
     finals = [r["final_test_accuracy"] for r in runs]
     mean, std = mean_std(finals)
-    wall = [w for r in runs for w in r["wall_clock_s"]]
+    epoch_s = [t for r in runs for t in r["epoch_clock_s"]]
     return {
         "runs": runs,
         "summary": {
@@ -68,7 +72,7 @@ def consolidate(run_dirs) -> dict:
             "seeds": [r["seed"] for r in runs],
             "final_test_accuracy_mean": mean,
             "final_test_accuracy_std": std,
-            "time_per_epoch_s": float(np.mean(wall)) if wall else None,
+            "time_per_epoch_s": float(np.mean(epoch_s)) if epoch_s else None,
         },
     }
 

@@ -13,6 +13,9 @@ Suites draw their inputs as stacks, one batched call per dimension (`metrics`
 checks all three distances on one shared draw). The gradient suites draw
 their instances one at a time, in a fixed order, then make one stacked
 backward call per dimension (and embedding, for `gradient_oracle`).
+`barycenter` and `bn_embed` solve all of their barycenter problems in one
+stacked call. Every suite checks its sizes before its first draw, so one
+given nothing to check raises InvalidSpec instead of passing vacuously.
 
 Every suite returns PropertyResult records carrying the measured quantities,
 so the JSON summary documents not just pass/fail but the observed margins.
@@ -32,7 +35,7 @@ from . import geometry, spdcore
 from .data import SynthSpec, synth_dataset
 from .embedding import (EmbeddingKind, embed, embed_backward, embed_batch, reconstruct_spd, vech,
                         vech_batch)
-from .errors import InvalidSpec
+from .errors import InvalidSpec, checked_seed
 from .geometry import (
     DistanceKind,
     barycenter_map,
@@ -103,10 +106,23 @@ def _fro(Ms):
     return np.linalg.norm(Ms, axis=(-2, -1))
 
 
+def _at_least(least: int, **sizes) -> None:
+    """Raise InvalidSpec unless every size is an int of at least `least`; a
+    tuple size counts its entries. Suites call it before their first draw, so
+    a suite given nothing to check fails typed instead of passing vacuously."""
+    for name, size in sizes.items():
+        counted = isinstance(size, (tuple, list))
+        count = len(size) if counted else size
+        if isinstance(count, bool) or not isinstance(count, int) or count < least:
+            need = f"needs at least {least} entries" if counted else f"must be an int >= {least}"
+            raise InvalidSpec(f"{name} {need}, got {size!r}")
+
+
 # -- suites ----------------------------------------------------------------------
 
 
 def suite_norm_equivalence(rng, trials=300) -> list:
+    _at_least(1, trials=trials)
     margins = []
     for d, n in _dim_groups(rng, trials, 2, 12):
         M = _random_symmetric(rng, d, n)
@@ -142,6 +158,8 @@ def distortion_sweep(rng, d, n_pairs, kappa_max=100.0) -> dict:
 
 
 def suite_distortion(rng, dims=(2, 5, 8, 22), n_pairs=1000, kappa_max=100.0) -> list:
+    _at_least(1, dims=dims, n_pairs=n_pairs)
+    _at_least(2, smallest_dim=min(dims))
     results = []
     for d in dims:
         sweep = distortion_sweep(rng, d, n_pairs, kappa_max)
@@ -167,6 +185,7 @@ def suite_distortion(rng, dims=(2, 5, 8, 22), n_pairs=1000, kappa_max=100.0) -> 
 
 
 def suite_injectivity(rng, trials=100) -> list:
+    _at_least(1, trials=trials)
     worst = 0.0
     for d, n in _dim_groups(rng, trials, 2, 9):
         A = _random_spd_stack(rng, n, d, 100.0)
@@ -177,6 +196,7 @@ def suite_injectivity(rng, trials=100) -> list:
 
 
 def suite_metrics(rng, triples=1000) -> list:
+    _at_least(10, triples=triples)  # triples // 10 pairs are drawn
     # one draw for every kind: pairs at d = 4 (symmetry, identity), triples at d = 3
     A, B = (_random_spd_stack(rng, triples // 10, 4, 100.0) for _ in range(2))
     # sqrt(tr A) = ||sqrt(A)||_F, the size of the roots the distance compares
@@ -199,6 +219,7 @@ def suite_metrics(rng, triples=1000) -> list:
 
 
 def suite_reconstruction(rng, trials=40) -> list:
+    _at_least(1, trials=trials)
     worst_sqrt = 0.0
     worst_log = 0.0
     for d, n in _dim_groups(rng, trials, 2, 12):
@@ -254,6 +275,10 @@ def _spectrum(rng, d, kappa, clustered=False):
 
 
 def suite_conditioning(rng, dims=(2, 5, 13, 22), kappas=(10.0, 100.0, 1e4)) -> list:
+    _at_least(1, dims=dims, kappas=kappas)
+    _at_least(2, smallest_dim=min(dims))
+    if min(kappas) < 1.0:
+        raise InvalidSpec(f"kappas must be at least 1, got {kappas!r}")
     results = []
     all_ok = True
     worst_rel = 0.0
@@ -288,6 +313,7 @@ def suite_conditioning(rng, dims=(2, 5, 13, 22), kappas=(10.0, 100.0, 1e4)) -> l
 
 
 def suite_gradient_bounds(rng, trials=100) -> list:
+    _at_least(1, trials=trials)
     groups = {}  # d -> [(C, G)], drawn in one fixed order
     for _ in range(trials):
         d = int(rng.integers(2, 12))
@@ -310,6 +336,8 @@ def suite_gradient_bounds(rng, trials=100) -> list:
 
 def suite_gradient_oracle(rng, dims=(2, 3, 5, 8, 22), per_dim=40) -> list:
     """Directional finite differences for the spectral and embedding backward passes."""
+    _at_least(1, dims=dims, per_dim=per_dim)
+    _at_least(2, smallest_dim=min(dims))
     kinds = (EmbeddingKind.BWSPD, EmbeddingKind.LOG_EUCLIDEAN)
     groups = {}  # (d, kind) -> [(C, w, E)], drawn in one fixed order
     for d in dims:
@@ -426,12 +454,14 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
 
 
 def suite_micro_model(rng, n_params=50) -> list:
+    _at_least(1, n_params=n_params)
     res = micro_model_gradient_check(rng, n_params)
     ok = res["param_failures"] == 0 and res["input_path_ok"]
     return [PropertyResult("gradient_oracle", "micro_model_fd", ok, res)]
 
 
 def suite_barycenter(rng, batches=5, n=32, eps=0.2, d=5, tol=1e-10) -> list:
+    _at_least(1, batches=batches, n=n)
     results = []
     A = _random_spd_stack(rng, 1, 4, 50.0)[0]
     mu = bw_barycenter(A[None])
@@ -440,15 +470,13 @@ def suite_barycenter(rng, batches=5, n=32, eps=0.2, d=5, tol=1e-10) -> list:
     mu = bw_barycenter(np.stack([A, A, A]))
     results.append(PropertyResult("barycenter", "duplicate_identity",
                                   np.linalg.norm(mu - A) <= 1e-9 * np.linalg.norm(A), {}))
-    worst_resid = 0.0
-    ok = True
-    for b in range(batches):
-        ds = synth_dataset(SynthSpec(n_classes=1, dim=d, trials_per_class=n,
-                                     separation=0.0, dispersion=eps, seed=700 + b))
-        mu = bw_barycenter(ds.matrices, tol=tol)
-        resid = np.linalg.norm(mu - barycenter_map(mu, ds.matrices)) / np.linalg.norm(mu)
-        worst_resid = max(worst_resid, resid)
-        ok = ok and resid <= tol
+    stacks = np.stack([synth_dataset(SynthSpec(n_classes=1, dim=d, trials_per_class=n,
+                                                separation=0.0, dispersion=eps,
+                                                seed=700 + b)).matrices for b in range(batches)])
+    resids = [np.linalg.norm(mu - barycenter_map(mu, S)) / np.linalg.norm(mu)
+              for mu, S in zip(bw_barycenter(stacks, tol=tol), stacks)]
+    worst_resid = max(resids)
+    ok = all(r <= tol for r in resids)
     results.append(PropertyResult("barycenter", "clustered_residual", ok,
                                   {"batches": batches, "n": n, "dispersion": eps,
                                    "worst_rel_residual": worst_resid}))
@@ -462,14 +490,15 @@ def bn_embed_slope(rng, eps_levels=(0.02, 0.05, 0.1, 0.15, 0.2), batches_per_eps
     Batches are perturbation-paired across dispersion levels (same seed ->
     same directions), isolating the second-order term.
     """
-    gaps = []
-    measured_eps = []
-    for eps in eps_levels:
-        reps = [dispersion_report(synth_dataset(SynthSpec(
-                    n_classes=1, dim=d, trials_per_class=n, separation=0.0,
-                    dispersion=eps, seed=3000 + b)).matrices) for b in range(batches_per_eps)]
-        gaps.append(float(np.mean([r.sqrt_mean_gap for r in reps])))
-        measured_eps.append(float(np.mean([r.epsilon for r in reps])))
+    _at_least(1, batches_per_eps=batches_per_eps)
+    _at_least(2, eps_levels=eps_levels, n=n)
+    rep = dispersion_report(np.stack([
+        synth_dataset(SynthSpec(n_classes=1, dim=d, trials_per_class=n, separation=0.0,
+                                dispersion=eps, seed=3000 + b)).matrices
+        for eps in eps_levels for b in range(batches_per_eps)]))
+    levels = len(eps_levels)
+    gaps = [float(np.mean(g)) for g in rep.sqrt_mean_gap.reshape(levels, -1)]
+    measured_eps = [float(np.mean(e)) for e in rep.epsilon.reshape(levels, -1)]
     slope = loglog_slope(eps_levels, gaps)
     return {"slope": slope, "eps_levels": list(eps_levels), "mean_gaps": gaps,
             "measured_eps": measured_eps}
@@ -539,6 +568,7 @@ SUITES = {
 
 def run_verification(name_filter: str | None = None, seed: int = 0):
     """Run matching suites; returns (results, all_passed)."""
+    checked_seed(seed)
     selected = {k: v for k, v in SUITES.items()
                 if name_filter is None or name_filter in k}
     if not selected:

@@ -202,6 +202,34 @@ class TestReport:
         with pytest.raises(MissingRun):
             consolidate([str(tmp_path / "nope")])
 
+    @staticmethod
+    def fixture_run(path, seed, epochs_csv):
+        """A two-epoch run directory with the given epochs.csv text."""
+        path.mkdir()
+        rows = [{"epoch": e, "train_loss": 1.0, "train_acc": 0.5, "val_loss": 1.0,
+                 "val_acc": 0.5, "test_loss": 1.0, "test_acc": 0.5} for e in (1, 2)]
+        (path / "metrics.json").write_text(json.dumps(
+            {"config": {"epochs": 2}, "seed": seed, "final_test_accuracy": 0.5, "epochs": rows}))
+        (path / "epochs.csv").write_text(epochs_csv)
+        return str(path)
+
+    def test_time_per_epoch_counts_the_evaluation(self, tmp_path):
+        runs = [self.fixture_run(tmp_path / "a", 1,
+                                 "epoch,wall_clock_s,eval_clock_s\n1,1.0,0.5\n2,2.0,0.5\n"),
+                # written before the evaluation was timed: the loop alone
+                self.fixture_run(tmp_path / "b", 2, "epoch,wall_clock_s\n1,3.0\n2,3.0\n")]
+        assert load_run(runs[0])["epoch_clock_s"] == [1.5, 2.5]
+        assert load_run(runs[1])["epoch_clock_s"] == [3.0, 3.0]
+        merged = consolidate(runs)
+        assert merged["summary"]["time_per_epoch_s"] == 2.5
+        assert markdown_table(merged).endswith("| 2.500s |")
+
+    def test_summary_time_per_epoch_counts_the_evaluation(self):
+        summary, reports = train_experiment(tiny_exp(seeds=(3,)))
+        rows = reports[0].epochs
+        want = np.mean([row["wall_clock_s"] + row["eval_clock_s"] for row in rows])
+        assert summary["time_per_epoch_s"] == float(want)
+
 
 class TestCliMain:
     def test_verify_filter(self, capsys):
@@ -259,6 +287,18 @@ class TestCliMain:
     def test_bench_rejects_empty_groups(self, capsys, dims, trials):
         assert main(["bench", "--dims", dims, "--trials", trials]) == 2
         assert "bench needs trials >= 1 and dims >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--filter", "pair_counts", "--seed", "-1"],
+        ["bench", "--dims", "2", "--trials", "1", "--seed", "-1"],
+        ["bench", "--dims", "a"],
+        ["bench", "--dims", ","],
+    ], ids=["verify-seed", "bench-seed", "bench-dims-not-int", "bench-dims-empty"])
+    def test_bad_argument_is_typed(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "missing")])

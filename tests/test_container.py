@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdtok.container import (
     container_bytes,
@@ -152,3 +154,61 @@ def test_bytes_after_last_entry(rng, tmp_path, tail):
     path.write_bytes(path.read_bytes() + tail)
     with pytest.raises(ContainerError, match="bytes left"):
         load_checkpoint(path)
+
+
+FUZZ_ENTRIES = {name: np.random.default_rng(7).standard_normal(shape)
+                for name, shape in (("w", (3, 4)), ("b", (4,)), ("scale", ()))}
+FUZZ = settings(max_examples=400, derandomize=True, deadline=None, database=None)
+
+
+def _flipped(blob: bytes, bits) -> bytes:
+    out = bytearray(blob)
+    for i in bits:
+        out[i // 8] ^= 1 << (i % 8)
+    return bytes(out)
+
+
+def _mutated(blob: bytes):
+    """`blob` cut at any byte with up to 32 bytes appended (truncations and
+    extensions), or with one to three of its bits flipped."""
+    n = len(blob)
+    spliced = st.tuples(st.integers(0, n), st.binary(max_size=32)).map(
+        lambda cut: blob[:cut[0]] + cut[1])
+    flipped = st.lists(st.integers(0, 8 * n - 1), min_size=1, max_size=3).map(
+        lambda bits: _flipped(blob, bits))
+    return st.one_of(spliced, flipped)
+
+
+def _assert_whole(arrays: dict):
+    """A read that returns holds every written entry whole; a flip may have
+    changed an entry name, never a shape or a payload byte."""
+    assert [a.shape for a in arrays.values()] == [a.shape for a in FUZZ_ENTRIES.values()]
+    assert [a.tobytes() for a in arrays.values()] == [a.tobytes() for a in FUZZ_ENTRIES.values()]
+
+
+@FUZZ
+@given(_mutated(container_bytes(FUZZ_ENTRIES)))
+def test_fuzzed_container_fails_typed_or_reads_whole(blob):
+    try:
+        arrays = read_matrix_container(io.BytesIO(blob))
+    except ContainerError:
+        return
+    _assert_whole(arrays)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoint_fails_typed_or_reads_whole(fuzz_dir, data):
+    path = fuzz_dir / "model.spdt"
+    save_checkpoint(path, {"kind": "demo", "seed": 3}, FUZZ_ENTRIES)
+    path.write_bytes(data.draw(_mutated(path.read_bytes())))
+    try:
+        _, arrays = load_checkpoint(path)
+    except ContainerError:
+        return
+    _assert_whole(arrays)

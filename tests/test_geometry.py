@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from spdtok.data import SynthSpec, synth_dataset
 from spdtok.embedding import embed, unvech
 from spdtok.errors import DimMismatch, InvalidSpec, NoConvergence
 from spdtok.geometry import (
+    _INV_SQRT,
     DistanceKind,
     barycenter_map,
     bw_barycenter,
@@ -16,7 +18,7 @@ from spdtok.geometry import (
     distortion_check,
     logeuclidean_distance,
 )
-from spdtok.spdcore import CLIP_FLOOR, SQRT, spectral_apply, sym
+from spdtok.spdcore import CLIP_FLOOR, SQRT, eig_sym, spectral_apply, spectral_reconstruct, sym
 
 from conftest import random_orthogonal, random_spd, random_symmetric
 
@@ -167,9 +169,12 @@ class TestBarycenter:
         with pytest.raises(NoConvergence) as err:
             bw_barycenter(Cs, max_iter=1)
         mu0 = sym(np.mean(Cs, axis=0))
-        mu1 = barycenter_map(mu0, Cs)
+        mapped = barycenter_map(mu0, Cs)
+        # the step mu0^{-1/2} T(mu0)^2 mu0^{-1/2}, as M^T M with M = T(mu0) mu0^{-1/2}
+        M = mapped @ spectral_reconstruct(*eig_sym(mu0), _INV_SQRT)
+        mu1 = sym(M.T @ M)
         assert np.array_equal(err.value.last, mu1)
-        assert err.value.residual == float(np.linalg.norm(mu0 - mu1))
+        assert err.value.residual == float(np.linalg.norm(mu0 - mapped))
         assert err.value.residual > 1e-10 * np.linalg.norm(mu0)
 
     def test_zero_stack_is_the_clipped_cone_barycenter(self):
@@ -187,6 +192,79 @@ class TestBarycenter:
         Cs = np.stack([np.diag([4.0, low, 1.0]), np.diag([4.0, 8.0, 9.0])])
         roots = (np.sqrt([4.0, max(low, CLIP_FLOOR), 1.0]) + np.sqrt([4.0, 8.0, 9.0])) / 2
         assert np.max(np.abs(bw_barycenter(Cs) - np.diag(roots ** 2))) <= 1e-8
+
+
+def _fewest_maps(Cs):
+    """The smallest max_iter at which bw_barycenter(Cs) returns."""
+    for k in range(1, 201):
+        try:
+            bw_barycenter(Cs, max_iter=k)
+            return k
+        except NoConvergence:
+            pass
+    raise AssertionError("no convergence within 200 maps")
+
+
+def _mixed_problems(rng, d=4, n=3):
+    """(P, n, d, d) problems that converge after different numbers of maps,
+    with a zero stack and a stack holding matrices below the clip floor."""
+    A = random_spd(rng, d)
+    clustered = np.stack([sym(A + 0.05 * random_symmetric(rng, d)) for _ in range(n)])
+    spread = np.stack([random_spd(rng, d, kappa=100, scale=s) for s in (0.1, 1.0, 10.0)])
+    below = np.stack([np.diag([4.0, -1.0, 1.0, 2.0]), random_spd(rng, d), np.zeros((d, d))])
+    return np.stack([clustered, spread, np.stack([A] * n), np.zeros((n, d, d)), below])
+
+
+class TestStackedBarycenter:
+    def test_rows_are_the_bits_of_solo_calls(self, rng):
+        problems = _mixed_problems(rng)
+        assert len({_fewest_maps(S) for S in problems}) >= 3
+        mus = bw_barycenter(problems)
+        rep = dispersion_report(problems)
+        assert mus.shape == (len(problems), 4, 4)
+        for p, S in enumerate(problems):
+            assert np.array_equal(mus[p], bw_barycenter(S))
+            solo = dispersion_report(S)
+            assert np.array_equal(rep.barycenter[p], solo.barycenter)
+            assert rep.epsilon[p] == solo.epsilon
+            assert rep.sqrt_mean_gap[p] == solo.sqrt_mean_gap
+
+    def test_clustered_batch_converges_within_eight_maps(self):
+        # the direct update mu <- T(mu) needs 29 maps on this batch
+        Cs = synth_dataset(SynthSpec(n_classes=1, dim=5, trials_per_class=32, separation=0.0,
+                                     dispersion=0.2, seed=700)).matrices
+        mu = bw_barycenter(Cs, max_iter=8)
+        assert np.linalg.norm(mu - barycenter_map(mu, Cs)) <= 1e-10 * np.linalg.norm(mu)
+
+    def test_spread_stack_converges(self):
+        # spectra up to kappa 1e6 at scales 0.1 to 10: the direct update is
+        # still at residual 1e-3 after 200 maps
+        rng = np.random.default_rng(2016)
+        Cs = np.stack([random_spd(rng, 8, kappa=k, scale=s)
+                       for k, s in ((1e6, 0.1), (1e3, 10.0), (10.0, 1.0), (1e5, 0.3), (1.0, 3.0))])
+        mu = bw_barycenter(Cs, max_iter=32)
+        assert np.linalg.norm(mu - barycenter_map(mu, Cs)) <= 1e-10 * np.linalg.norm(mu)
+
+    def test_an_open_problem_is_named(self, rng):
+        problems = _mixed_problems(rng)
+        k = _fewest_maps(problems[1]) - 1
+        assert max(_fewest_maps(S) for i, S in enumerate(problems) if i != 1) <= k
+        with pytest.raises(NoConvergence, match=r"problems \[1\]") as err:
+            bw_barycenter(problems, max_iter=k)
+        with pytest.raises(NoConvergence) as solo:
+            bw_barycenter(problems[1], max_iter=k)
+        assert solo.value.last.shape == (4, 4) and isinstance(solo.value.residual, float)
+        assert np.array_equal(err.value.last, solo.value.last[None])
+        assert np.array_equal(err.value.residual, [solo.value.residual])
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2, 2), (2, 0, 2, 2), (2, 3, 2, 3), (1, 2, 3, 2, 2)])
+    def test_malformed_stack_rejected(self, shape):
+        with pytest.raises(DimMismatch):
+            bw_barycenter(np.ones(shape))
+
+    def test_dispersion_needs_two_per_problem(self, rng):
+        with pytest.raises(InvalidSpec):
+            dispersion_report(_mixed_problems(rng)[:, :1])
 
 
 class TestDispersionReport:

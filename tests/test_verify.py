@@ -161,3 +161,46 @@ def test_bn_embed_slope_small():
     rng = np.random.default_rng(0)
     res = bn_embed_slope(rng, eps_levels=(0.05, 0.1, 0.2), batches_per_eps=3, n=12, d=4)
     assert 1.5 <= res["slope"] <= 2.5
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew ({name}) before checking the suite's sizes")
+
+
+BAD_SIZES = [
+    ("norm_equivalence", dict(trials=0)),
+    ("distortion", dict(dims=())),
+    ("distortion", dict(n_pairs=0)),
+    ("distortion", dict(dims=(1, 5))),
+    ("injectivity", dict(trials=0)),
+    ("metrics", dict(triples=5)),
+    ("reconstruction", dict(trials=0)),
+    ("conditioning", dict(dims=())),
+    ("conditioning", dict(kappas=())),
+    ("conditioning", dict(dims=(2, 1))),
+    ("conditioning", dict(kappas=(10.0, 0.5))),
+    ("gradient_bounds", dict(trials=0)),
+    ("gradient_oracle", dict(dims=())),
+    ("gradient_oracle", dict(per_dim=0)),
+    ("gradient_oracle", dict(dims=(1,))),
+    ("norm_equivalence", dict(trials=2.5)),
+    ("micro_model", dict(n_params=0)),
+    ("barycenter", dict(batches=0)),
+    ("bn_embed", dict(batches_per_eps=0)),
+]
+
+
+@pytest.mark.parametrize("name, sizes", BAD_SIZES,
+                         ids=[f"{n}-{k}={v}" for n, kw in BAD_SIZES for k, v in kw.items()])
+def test_suite_given_nothing_to_check_fails_typed(name, sizes):
+    with pytest.raises(InvalidSpec):
+        SUITES[name](_NoDraws(), **sizes)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(InvalidSpec, match="seed"):
+        run_verification(name_filter="pair_counts", seed=seed)
