@@ -19,12 +19,13 @@ as x2.T @ g2 on the flattened views. Each of these products sums its inner
 dimension in fixed blocks of K_BLOCK (one GEMM when it is no longer): OpenBLAS
 cuts a longer inner dimension into different blocks with one thread than with
 several, so a d = 56 projection (1596 inputs) would otherwise change its bits
-with the BLAS thread count. An output narrower than MIN_COLS is formed
-against weights padded with zero columns, and a one-row product with a zero
-row, so that, as for wider outputs and more rows, a row's result does not
-depend on how many rows share the product. The input gradient's W.T is
-padded likewise to a multiple of KERNEL_COLS, whose bits otherwise (at 253,
-300 or 1596 columns) depend on the BLAS thread count.
+with the BLAS thread count. An output of MIN_COLS columns or fewer is formed
+against weights padded with zero columns to MIN_COLS, a wider one to the next
+multiple of KERNEL_COLS, and a one-row product with a zero row under it, so
+that a row's result does not depend on how many rows share the product (a
+36-column feed-forward layer otherwise would). The input gradient's W.T is
+padded to a multiple of KERNEL_COLS too, whose bits otherwise (at 253, 300
+or 1596 columns) depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -168,11 +169,13 @@ def _matmul(a, b):
     return out
 
 
-# fewest output columns `linear` hands OpenBLAS: with fewer (a two-class head),
-# a row's bits depend on how many rows share the product, so W is padded with
-# zero columns up to this width and the product cut back
+# output widths `linear` hands OpenBLAS: with fewer than MIN_COLS columns (a
+# two-class head), or more but not a multiple of KERNEL_COLS (OpenBLAS's
+# kernel width), a row's bits depend on how many rows share the product, so W
+# is padded with zero columns and the product cut back. A narrow head is padded
+# to MIN_COLS only: padding it to KERNEL_COLS would change its bits.
 MIN_COLS = 4
-KERNEL_COLS = 8  # OpenBLAS's kernel width, a multiple of which the input gradient spans
+KERNEL_COLS = 8
 
 
 def _matmul_cols(a, b, cols):
@@ -191,7 +194,8 @@ def linear(x, W, b=None):
     if x.data.shape[-1] != m:
         raise ShapeMismatch(f"linear: {x.data.shape} @ {W.data.shape}")
     x2 = x.data.reshape(-1, m)
-    out_data = _matmul_cols(x2, W.data, max(k, MIN_COLS)).reshape(lead + (k,))
+    cols = MIN_COLS if k <= MIN_COLS else -(-k // KERNEL_COLS) * KERNEL_COLS
+    out_data = _matmul_cols(x2, W.data, cols).reshape(lead + (k,))
     if b is not None:
         b = as_tensor(b)
         out_data += b.data  # the GEMM output is fresh, so add in place

@@ -14,7 +14,9 @@ from the tokens:
 
 The distance term depends only on the input tokens, never on parameters, so
 it enters the graph as a constant bias; alpha = 0 reproduces the standard
-path bit for bit.
+path bit for bit. Only the tokens' own embedding reads the matrices back
+correctly, so `forward` takes the bias as `attn_bias`; a training run reads it
+from its token dataset (`train.TokenDataset.attention_bias`).
 
 With a single token (T = 1) softmax over one key is exactly 1 in both modes,
 so attention is exactly the value-output projection Wo(Wv h + bv) + bo. The
@@ -37,11 +39,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .embedding import EmbeddingKind, reconstruct_spd
+from .embedding import reconstruct_spd
 from .errors import ConfigFields, DegenerateBatch, InvalidSpec, NonFinite, ShapeMismatch
 from . import geometry
 
 ATTENTION_MODES = ("standard", "geometric")
+# the embedding-space batch norm's running-statistics momentum and variance floor
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 @dataclass
@@ -57,16 +62,11 @@ class ModelConfig(ConfigFields):
     use_bn_embed: bool = True
     attention: str = "standard"
     geo_alpha: float = 0.5
-    token_kind: str = EmbeddingKind.BWSPD.value
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     RULES = {
         "d_token": "[1, inf)", "n_classes": "[2, inf)", "d_model": "[1, inf)",
         "layers": "[1, inf)", "heads": "[1, inf)", "d_ff": "[1, inf)", "dropout": "[0, 1)",
         "seq_len": "[1, inf)", "attention": ATTENTION_MODES, "geo_alpha": "[0, 1]",
-        "token_kind": tuple(k.value for k in EmbeddingKind), "bn_momentum": "[0, 1]",
-        "bn_eps": "(0, inf)",
     }
 
     def cross_check(self):
@@ -163,8 +163,8 @@ class SpdTokenTransformer:
     def forward(self, tokens, training: bool = False, attn_bias=None,
                 dropout_rng: np.random.Generator | None = None) -> Tensor:
         """Logits for a (batch, T, d_token) array (a (batch, d_token) array is
-        treated as T = 1). `attn_bias` optionally supplies precomputed
-        (batch, T, T) transport distances for geometric attention."""
+        treated as T = 1). Geometric attention at T > 1 needs `attn_bias`,
+        the (batch, T, T) transport distances of `geometric_bias`."""
         c = self.config
         x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
         if x.data.ndim == 2:
@@ -176,8 +176,8 @@ class SpdTokenTransformer:
             raise InvalidSpec("training with dropout needs a dropout_rng")
         batch = x.data.shape[0]
 
-        if c.attention == "geometric" and attn_bias is None:
-            attn_bias = geometric_bias(x.data, c.token_kind)
+        if c.attention == "geometric" and c.seq_len > 1 and attn_bias is None:
+            raise InvalidSpec("geometric attention over several tokens needs attn_bias")
 
         # eval mode reads parameter values through constants: no parameter gets
         # a gradient, and on a plain array no node or closure is kept
@@ -188,13 +188,13 @@ class SpdTokenTransformer:
             if training:
                 if batch * c.seq_len < 2:
                     raise DegenerateBatch("need batch * T >= 2 in train mode")
-                h, batch_mean, batch_var = ad.batch_norm_train(h, p["bn.gamma"], p["bn.beta"], c.bn_eps)
-                m = c.bn_momentum
+                h, batch_mean, batch_var = ad.batch_norm_train(h, p["bn.gamma"], p["bn.beta"], BN_EPS)
+                m = BN_MOMENTUM
                 self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
                 self.running_var = (1.0 - m) * self.running_var + m * batch_var
             else:
                 h = ad.batch_norm_eval(h, p["bn.gamma"], p["bn.beta"],
-                                       self.running_mean, self.running_var, c.bn_eps)
+                                       self.running_mean, self.running_var, BN_EPS)
         if training and c.dropout > 0.0:
             h = ad.dropout(h, c.dropout, dropout_rng)
 

@@ -12,21 +12,36 @@ from .errors import InvalidSpec, MissingRun
 from .stats import mean_std
 
 
+# the metrics.json keys a report reads
+RUN_KEYS = ("seed", "config", "epochs", "final_test_accuracy")
+
+
 def load_run(run_dir: str) -> dict:
     """A run's metrics.json, with `epoch_clock_s`: each epoch's seconds, its
-    training loop and its evaluation, from epochs.csv."""
+    training loop and its evaluation, from epochs.csv. InvalidSpec when
+    either file is malformed."""
     metrics_path = os.path.join(run_dir, "metrics.json")
     epochs_path = os.path.join(run_dir, "epochs.csv")
     if not os.path.isfile(metrics_path):
         raise MissingRun(f"{run_dir} has no metrics.json")
-    with open(metrics_path, "r", encoding="utf-8") as f:
-        metrics = json.load(f)
+    try:
+        with open(metrics_path, "r", encoding="utf-8") as f:
+            metrics = json.load(f)
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise InvalidSpec(f"{metrics_path} is not JSON: {err}") from None
+    if not isinstance(metrics, dict) or not all(k in metrics for k in RUN_KEYS):
+        raise InvalidSpec(f"{metrics_path} is not a run's metrics: an object "
+                          f"with the keys {', '.join(RUN_KEYS)}")
     epoch_s = []
     if os.path.isfile(epochs_path):
         with open(epochs_path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                # an epochs.csv without the eval_clock_s column timed the loop only
-                epoch_s.append(float(row["wall_clock_s"]) + float(row.get("eval_clock_s") or 0.0))
+            try:
+                for row in csv.DictReader(f):
+                    # an epochs.csv without the eval_clock_s column timed the loop only
+                    epoch_s.append(float(row["wall_clock_s"])
+                                   + float(row.get("eval_clock_s") or 0.0))
+            except (KeyError, TypeError, ValueError, csv.Error) as err:
+                raise InvalidSpec(f"{epochs_path}: missing or non-numeric clock: {err!r}") from None
     metrics["epoch_clock_s"] = epoch_s
     metrics["run_dir"] = run_dir
     return metrics

@@ -8,9 +8,11 @@ same config and seed produce byte-identical metrics files.
 
 Every data source reduces to the rows its trial keys hash, int64 labels and
 one (n, T, d, d) covariance stack, which `tokenize` embeds trial-major and
-band-minor with one `tokenize_matrices` call. `run_seeds`, the one seed loop
-of `train_experiment` and of the ablations, shares one geometric-attention
-bias across seeds. Every JSON file a command writes goes through `write_json`.
+band-minor with one `tokenize_matrices` call. The geometric-attention bias is
+the token dataset's `attention_bias`, read back with the tokens' own embedding
+once for every seed and ablation variant on them. `run_seeds` is the one seed
+loop of `train_experiment` and of the ablations. Every JSON file a command
+writes goes through `write_json`.
 
 Each epoch ends with one `_evaluate` call: a single eval forward over the
 train, val and test rows, EVAL_BATCH rows at a time, after which each split's
@@ -26,16 +28,18 @@ Per run directory:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .container import read_matrix_container, save_checkpoint
 from .data import (
+    SPLIT_RATIOS,
     BandMixtureSpec,
     SegmentBatch,
     SynthSpec,
@@ -70,7 +74,7 @@ class DataConfig(ConfigFields):
     band_mixture: dict | None = None
     container_path: str | None = None
     split_seed: int = 0
-    ratios: tuple[float, ...] = (0.70, 0.15, 0.15)
+    ratios: tuple[float, ...] = SPLIT_RATIOS
 
     RULES = {
         "source": ("synth", "band_mixture", "container"),
@@ -145,6 +149,11 @@ class TokenDataset:
     embedding: str       # the EmbeddingKind value the tokens were made with
     branch: dict         # tokenize_matrices's branch diagnostics
 
+    @functools.cached_property
+    def attention_bias(self) -> np.ndarray:
+        """(n, T, T) geometric-attention bias, read back with the tokens' own embedding."""
+        return geometric_bias(self.tokens, self.embedding)
+
 
 def tokenize_matrices(Cs: np.ndarray, kind: EmbeddingKind):
     """Tokens plus branch diagnostics for a stack of SPD matrices.
@@ -198,6 +207,9 @@ def _trials(data_cfg: DataConfig):
             if data_cfg.multiband:
                 raise InvalidSpec("multi-band tokens need segments; this container holds matrices")
             mats = packed["matrices"]
+            if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+                raise InvalidSpec(f"container matrices must be an (n, d, d) stack, "
+                                  f"got shape {mats.shape}")
             if labels.shape != mats.shape[:1]:
                 raise InvalidSpec(f"container has {len(labels)} labels for matrices "
                                   f"of shape {mats.shape}")
@@ -225,20 +237,6 @@ def tokenize(data_cfg: DataConfig) -> TokenDataset:
     tokens, branch = tokenize_matrices(covs.reshape(n * T, d, d), kind)
     return TokenDataset(tokens.reshape(n, T, -1), labels, [trial_key(r) for r in rows],
                         int(labels.max()) + 1, kind.value, branch)
-
-
-def geometric_setup(model: dict, token_ds: TokenDataset, attn_bias=None):
-    """Model overrides and attention bias for a run on pre-tokenised data.
-
-    With geometric attention the token kind defaults to the data's embedding,
-    and the transport-distance bias is computed unless one is passed in.
-    """
-    model = dict(model)
-    if model.get("attention") == "geometric":
-        model.setdefault("token_kind", token_ds.embedding)
-        if attn_bias is None:
-            attn_bias = geometric_bias(token_ds.tokens, model["token_kind"])
-    return model, attn_bias
 
 
 @dataclass
@@ -297,15 +295,14 @@ def _evaluate(model, tokens, labels, attn_bias, splits):
 
 
 def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
-               out_dir: str | None = None, attn_bias: np.ndarray | None = None) -> RunReport:
+               out_dir: str | None = None) -> RunReport:
     """Train one model on pre-tokenised data with a fixed split and seed."""
     tokens, labels = token_ds.tokens, token_ds.labels
     n, T, D = tokens.shape
     train_idx, val_idx, test_idx = split_indices(token_ds.keys, exp.data.split_seed,
                                                  exp.data.ratios)
-    model_over, attn_bias = geometric_setup(exp.model, token_ds, attn_bias)
-    exp = replace(exp, model=model_over)
-    model_cfg = ModelConfig(d_token=D, n_classes=token_ds.n_classes, seq_len=T, **model_over)
+    model_cfg = ModelConfig(d_token=D, n_classes=token_ds.n_classes, seq_len=T, **exp.model)
+    attn_bias = token_ds.attention_bias if model_cfg.attention == "geometric" else None
     model = SpdTokenTransformer(model_cfg, seed=seed)
     opt = Adam(model.params, lr=exp.lr)
     shuffle_rng = np.random.default_rng([seed, 1])
@@ -378,11 +375,10 @@ def write_run_dir(out_dir: str, report: RunReport, model, best_state):
 
 
 def run_seeds(exp: ExperimentConfig, token_ds: TokenDataset, out_root: str | None = None):
-    """run_single for every seed of `exp` with one shared geometric bias; seed
-    N writes out_root/seed<N>, and an empty or None out_root writes nothing."""
-    _, attn_bias = geometric_setup(exp.model, token_ds)
+    """run_single for every seed of `exp`; seed N writes out_root/seed<N>, and
+    an empty or None out_root writes nothing."""
     return [run_single(exp, token_ds, seed,
-                       os.path.join(out_root, f"seed{seed}") if out_root else None, attn_bias)
+                       os.path.join(out_root, f"seed{seed}") if out_root else None)
             for seed in exp.seeds]
 
 

@@ -122,6 +122,15 @@ class TestLinear:
         assert _CountingTranspose.reads == int(input_needs_grad)
         assert (x.grad is not None) == input_needs_grad
 
+    @pytest.mark.parametrize("m, k", [(64, 36), (128, 36), (253, 12), (36, 100), (10, 2)])
+    def test_row_bits_independent_of_row_count(self, rng, m, k):
+        # an output width above MIN_COLS that is no multiple of KERNEL_COLS
+        # gives a plain product row bits that depend on the row count
+        x, W = rng.standard_normal((512, m)), rng.standard_normal((m, k))
+        whole = ad.linear(x, W).data
+        for n in (1, 2, 7, 39, 255):
+            assert ad.linear(x[:n], W).data.tobytes() == whole[:n].tobytes(), n
+
     def test_bits_independent_of_blas_threads(self):
         # a d = 56 projection: both inner dimensions (1596 forward, 400 rows for
         # gW) are longer than OpenBLAS's K block, which one thread and two split

@@ -66,6 +66,7 @@ def _bad_configs() -> dict:
         "geo_alpha_string": model(geo_alpha="x"),
         "unknown_token_kind": model(attention="geometric", token_kind="foo"),
         "negative_bn_eps": model(bn_eps=-1),
+        "geometric_token_kind_unlike_data": model(attention="geometric", token_kind="bwspd"),
         "two_ratios": data(ratios=[0.5, 0.5]),
         "synth_dim_string": synth(dim="22"),
         "synth_negative_seed": synth(seed=-1),
@@ -212,6 +213,20 @@ class TestReport:
             {"config": {"epochs": 2}, "seed": seed, "final_test_accuracy": 0.5, "epochs": rows}))
         (path / "epochs.csv").write_text(epochs_csv)
         return str(path)
+
+    def test_corrupt_run_dir_is_typed(self, tmp_path, capsys):
+        corrupt = {
+            "not_json": ("metrics.json", "{not json"),
+            "json_list": ("metrics.json", "[1, 2]"),
+            "no_config": ("metrics.json", '{"seed": 1, "epochs": [], "final_test_accuracy": 0.5}'),
+            "no_clock": ("epochs.csv", "epoch,eval_clock_s\n1,0.5\n"),
+            "clock_not_numeric": ("epochs.csv", "epoch,wall_clock_s,eval_clock_s\n1,fast,0.5\n"),
+        }
+        for case, (name, text) in corrupt.items():
+            run = self.fixture_run(tmp_path / case, 1, "epoch,wall_clock_s\n1,1.0\n")
+            (tmp_path / case / name).write_text(text)
+            assert main(["report", run]) == 2, case
+            assert capsys.readouterr().err.startswith("error: "), case
 
     def test_time_per_epoch_counts_the_evaluation(self, tmp_path):
         runs = [self.fixture_run(tmp_path / "a", 1,

@@ -87,7 +87,7 @@ class TestForward:
         p = {k: t.data for k, t in m.params.items()}
         h = toks @ p["proj.W"] + p["proj.b"] + p["pos"]
         mean = h.mean(axis=(0, 1)); var = h.var(axis=(0, 1))
-        hn = p["bn.gamma"] * (h - mean) / np.sqrt(var + m.config.bn_eps) + p["bn.beta"]
+        hn = p["bn.gamma"] * (h - mean) / np.sqrt(var + network.BN_EPS) + p["bn.beta"]
         v = hn @ p["enc0.attn.Wv"] + p["enc0.attn.bv"]
         ctx_expected = v @ p["enc0.attn.Wo"] + p["enc0.attn.bo"]
         attn = m._attention(Tensor(hn), 0, None, m.params)
@@ -161,7 +161,7 @@ class TestForward:
 class TestBnEmbed:
     def test_running_stats_match_scalar_ema(self, rng):
         m = micro_model()
-        mom = m.config.bn_momentum
+        mom = network.BN_MOMENTUM
         exp_mean = np.zeros(16)
         exp_var = np.ones(16)
         for _ in range(5):
@@ -223,15 +223,21 @@ class TestGeometricAttention:
         m = SpdTokenTransformer(ModelConfig(d_token=6, n_classes=2, d_model=8, layers=1,
                                             heads=2, d_ff=8, dropout=0.0, seq_len=2,
                                             attention="geometric", geo_alpha=0.5), seed=1)
-        logits = m.forward(toks)
+        logits = m.forward(toks, attn_bias=geometric_bias(toks, EmbeddingKind.BWSPD))
         assert np.all(np.isfinite(logits.data))
+
+    def test_several_tokens_without_bias_refused(self, rng):
+        m = micro_model(attention="geometric", seq_len=3)
+        for training in (False, True):
+            with pytest.raises(InvalidSpec, match="attn_bias"):
+                m.forward(rng.standard_normal((4, 3, 10)), training=training)
 
 
 class TestSingleTokenAttention:
     @staticmethod
-    def train_step(m, toks, labels):
+    def train_step(m, toks, labels, attn_bias=None):
         m.zero_grad()
-        ad.cross_entropy(m.forward(toks, training=True), labels).backward()
+        ad.cross_entropy(m.forward(toks, training=True, attn_bias=attn_bias), labels).backward()
 
     @pytest.mark.parametrize("attention", ["standard", "geometric"])
     def test_t1_attention_is_value_output_projection(self, rng, monkeypatch, attention):
@@ -268,7 +274,8 @@ class TestSingleTokenAttention:
         Cs = np.stack([random_spd(rng, 4) for _ in range(6 * 3)])
         toks = np.stack([embed(C, EmbeddingKind.BWSPD) for C in Cs]).reshape(6, 3, 10)
         m = micro_model(attention=attention, seq_len=3)
-        self.train_step(m, toks, rng.integers(0, 3, 6))
+        bias = geometric_bias(toks, EmbeddingKind.BWSPD) if attention == "geometric" else None
+        self.train_step(m, toks, rng.integers(0, 3, 6), bias)
         layers = m.config.layers
         assert calls == {"softmax": layers, "bmm": 2 * layers}
         for i in range(layers):
@@ -340,10 +347,18 @@ class TestRowInvariance:
         mats = np.stack([random_spd(rng, 8) for _ in range(1200)])
         tokens = embed_batch(mats, EmbeddingKind.LOG_EUCLIDEAN).reshape(400, 3, 36)
         model = SpdTokenTransformer(ModelConfig(d_token=36, n_classes=2, seq_len=3,
-                                                attention=attention, token_kind="logeuclidean",
-                                                **SCALED_MODEL), seed=11)
+                                                attention=attention, **SCALED_MODEL), seed=11)
         bias = geometric_bias(tokens, "logeuclidean") if attention == "geometric" else None
         self.check(model, tokens, bias)
+
+    def test_feed_forward_width_36(self, rng):
+        # d_ff 36 is wider than MIN_COLS and no multiple of KERNEL_COLS; the
+        # whole forward's products have 1200 rows
+        tokens = embed_batch(np.stack([random_spd(rng, 4) for _ in range(1200)]),
+                             EmbeddingKind.LOG_EUCLIDEAN).reshape(400, 3, 10)
+        self.check(SpdTokenTransformer(ModelConfig(d_token=10, n_classes=3, d_model=64,
+                                                   layers=2, heads=4, d_ff=36, seq_len=3),
+                                       seed=11), tokens)
 
     @pytest.mark.parametrize("case", ["default_253", "scaled_t3_36", "bn_embed_1596"])
     def test_one_row_matches_its_row_in_a_batch(self, rng, case):

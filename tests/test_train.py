@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -10,6 +11,7 @@ from spdtok import autodiff as ad
 from spdtok.container import write_matrix_container
 from spdtok.data import (
     BandMixtureSpec,
+    SynthSpec,
     analysis_bands,
     band_covariances,
     bandpass,
@@ -18,7 +20,9 @@ from spdtok.data import (
 )
 from spdtok.embedding import EmbeddingKind, embed, embed_batch
 from spdtok.errors import InvalidSpec
+from spdtok.network import ModelConfig, geometric_bias
 from spdtok.train import (
+    TOKEN_FIXED,
     DataConfig,
     ExperimentConfig,
     run_single,
@@ -50,9 +54,6 @@ CONFIG_FIELDS = {
     ("model", "use_bn_embed"): ([True, False], [1, 0, "yes", None]),
     ("model", "attention"): (["standard", "geometric"], ["fancy", "", 1, None]),
     ("model", "geo_alpha"): ([0, 0.5, 1], [-0.1, 1.5, "x", NAN, True]),
-    ("model", "token_kind"): (["bwspd", "logeuclidean", "euclidean"], ["foo", 1, None]),
-    ("model", "bn_momentum"): ([0, 0.1, 1], [-0.1, 1.5, "0.1", INF]),
-    ("model", "bn_eps"): ([1e-5, 1], [0, -1, "1e-5", NAN]),
     ("model", "d_token"): ([], [1, 3]),  # fixed by the tokens
     ("data", "source"): (["synth", "band_mixture"], ["nope", None, 1]),
     ("data", "embedding"): (["logeuclidean", "bwspd", "euclidean"], ["riemann", 1, None]),
@@ -87,8 +88,7 @@ CONFIG_FIELDS = {
 }
 
 OPTIONAL_FIELDS = {("model", name) for name in ("dropout", "use_bn_embed", "attention",
-                                                "geo_alpha", "token_kind", "bn_momentum",
-                                                "bn_eps")} | {("data", "synth", "spectra")}
+                                                "geo_alpha")} | {("data", "synth", "spectra")}
 
 
 @st.composite
@@ -141,6 +141,21 @@ class TestConfigs:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(exp.to_dict()))
         assert ExperimentConfig.from_json_file(path).to_dict() == exp.to_dict()
+
+    def test_field_table_names_every_config_field(self):
+        # every field of every config class has a row, except the ones the
+        # tokens fix, whose rows hold only refused values
+        def paths(cls, *prefix, nested=()):
+            return {(*prefix, f.name) for f in dataclasses.fields(cls) if f.name not in nested}
+
+        want = (paths(ExperimentConfig, nested=("data", "model"))
+                | paths(ModelConfig, "model", nested=tuple(TOKEN_FIXED))
+                | paths(DataConfig, "data", nested=("synth", "band_mixture"))
+                | paths(SynthSpec, "data", "synth")
+                | paths(BandMixtureSpec, "data", "band_mixture"))
+        fixed = {path for path, (valid, _) in CONFIG_FIELDS.items() if not valid}
+        assert set(CONFIG_FIELDS) - fixed == want
+        assert fixed <= {("model", name) for name in TOKEN_FIXED}
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(config_dicts())
@@ -229,6 +244,14 @@ class TestTokenize:
         path = tmp_path / "mislabelled.spdt"
         write_matrix_container(path, {"matrices": mats, "labels": labels})
         with pytest.raises(InvalidSpec, match="labels"):
+            tokenize(DataConfig(source="container", container_path=str(path)))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 3, 4), (5, 2, 3, 3)])
+    def test_container_matrices_must_be_square_stack(self, rng, tmp_path, shape):
+        path = tmp_path / "not_a_stack.spdt"
+        write_matrix_container(path, {"matrices": rng.standard_normal(shape),
+                                      "labels": np.array([0.0, 1.0, 0.0, 1.0, 1.0])})
+        with pytest.raises(InvalidSpec, match="stack"):
             tokenize(DataConfig(source="container", container_path=str(path)))
 
     @pytest.mark.parametrize("drop, missing", [("labels", "labels"),
@@ -326,14 +349,29 @@ class TestRunSingle:
         assert csv_lines[0].split(",")[-2:] == ["wall_clock_s", "eval_clock_s"]
         assert all(float(v) > 0.0 for line in csv_lines[1:] for v in line.split(",")[-2:])
 
-    def test_geometric_token_kind_follows_data_embedding(self):
-        exp = small_exp(model=dict(d_model=16, layers=1, heads=2, d_ff=16, dropout=0.1,
-                                   attention="geometric"), epochs=1)
-        tds = tokenize(exp.data)
-        assert tds.embedding == "logeuclidean"
-        rep = run_single(exp, tds, 5)
-        assert rep.config["model"]["token_kind"] == "logeuclidean"
-        assert rep.config["experiment"]["model"]["token_kind"] == "logeuclidean"
+    def test_geometric_bias_follows_data_embedding(self, monkeypatch):
+        from spdtok import train
+
+        used = []
+        real = train._evaluate
+
+        def recording(model, tokens, labels, attn_bias, splits):
+            used.append(attn_bias)
+            return real(model, tokens, labels, attn_bias, splits)
+
+        monkeypatch.setattr(train, "_evaluate", recording)
+        spec = BandMixtureSpec(channels=3, trials_per_class=8, samples=256, seed=4)
+        for kind in EmbeddingKind:
+            exp = small_exp(data=DataConfig(source="band_mixture", embedding=kind.value,
+                                            multiband=True, band_mixture=spec.to_dict()),
+                            model=dict(d_model=16, layers=1, heads=2, d_ff=16,
+                                       attention="geometric"), epochs=1)
+            tds = tokenize(exp.data)
+            used.clear()
+            run_single(exp, tds, 5)
+            assert used[0] is tds.attention_bias, kind
+            want = geometric_bias(tds.tokens, tds.embedding)
+            assert used[0].shape == (16, 3, 3) and used[0].tobytes() == want.tobytes(), kind
 
     def test_metrics_json_bytes_reproducible(self, tmp_path):
         exp = small_exp()
@@ -391,16 +429,16 @@ class TestEvaluate:
     @pytest.mark.parametrize("attention", ["standard", "geometric"])
     def test_splits_match_separate_evaluations_bitwise(self, monkeypatch, attention):
         from spdtok import train
-        from spdtok.network import ModelConfig, SpdTokenTransformer
+        from spdtok.network import SpdTokenTransformer
 
         monkeypatch.setattr(train, "EVAL_BATCH", 16)
         spec = BandMixtureSpec(channels=4, trials_per_class=40, samples=256, seed=3)
         tds = tokenize(DataConfig(source="band_mixture", embedding="bwspd", multiband=True,
                                   band_mixture=spec.to_dict()))
-        model_over, bias = train.geometric_setup(
-            dict(d_model=16, layers=1, heads=2, d_ff=16, attention=attention), tds)
-        model = SpdTokenTransformer(ModelConfig(d_token=10, n_classes=2, seq_len=3,
-                                                **model_over), seed=9)
+        bias = tds.attention_bias if attention == "geometric" else None
+        model = SpdTokenTransformer(ModelConfig(d_token=10, n_classes=2, seq_len=3, d_model=16,
+                                                layers=1, heads=2, d_ff=16, attention=attention),
+                                    seed=9)
         rng = np.random.default_rng(0)
         order = rng.permutation(80)
         # the first split spans four EVAL_BATCH chunks; none is a multiple of 16
