@@ -25,7 +25,14 @@ multiple of KERNEL_COLS, and a one-row product with a zero row under it, so
 that a row's result does not depend on how many rows share the product (a
 36-column feed-forward layer otherwise would). The input gradient's W.T is
 padded to a multiple of KERNEL_COLS too, whose bits otherwise (at 253, 300
-or 1596 columns) depend on the BLAS thread count.
+or 1596 columns) depend on the BLAS thread count. A padded weight is a zero
+block in the weight's memory order with the weight copied into its leading
+columns: np.pad builds the same array through tens of microseconds of
+Python, once per narrow product.
+
+Every mean on the tape (layer and batch normalisation, forward and
+backward, `mean_over_axis` and `cross_entropy`) is `_mean`: np.mean's
+reduce-then-divide, with its bits, without its Python layer.
 """
 
 from __future__ import annotations
@@ -179,10 +186,16 @@ KERNEL_COLS = 8
 
 
 def _matmul_cols(a, b, cols):
-    """_matmul(a, b) against b padded with zero columns to `cols`, cut back to b's width."""
-    if cols == b.shape[1]:
+    """_matmul(a, b) against b padded with zero columns to `cols`, cut back to
+    b's width. The padded b is a zero block in b's memory order (Fortran for
+    a transposed weight, as np.pad would make it) with b copied into its
+    leading columns."""
+    k = b.shape[1]
+    if cols == k:
         return _matmul(a, b)
-    return _matmul(a, np.pad(b, ((0, 0), (0, cols - b.shape[1]))))[:, :b.shape[1]].copy()
+    padded = np.zeros((b.shape[0], cols), order="F" if b.flags.fnc else "C")
+    padded[:, :k] = b
+    return _matmul(a, padded)[:, :k].copy()
 
 
 def linear(x, W, b=None):
@@ -262,10 +275,19 @@ def relu(a):
     return Tensor(a.data * mask, parents=(a,), backward=backward)
 
 
+def _mean(a, axis, keepdims=False):
+    """np.mean(a, axis, keepdims=keepdims) of a float64 array, bit for bit:
+    np.add.reduce, then a true divide by the count, without numpy's Python
+    layer (which costs more than the sum on the tape's small arrays)."""
+    total = np.add.reduce(a, axis=axis, keepdims=keepdims)
+    total /= a.size // max(total.size, 1)  # in place on an array, like np.mean
+    return total
+
+
 def mean_over_axis(a, axis):
     a = as_tensor(a)
     n = a.data.shape[axis]
-    out_data = a.data.mean(axis=axis)
+    out_data = _mean(a.data, axis)
 
     def backward(g):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
@@ -290,15 +312,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalise the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     # centred once: the same operations, in the same order, as np.var's own
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat = x.data - _mean(x.data, -1, keepdims=True)
+    inv = 1.0 / np.sqrt(_mean(xhat * xhat, -1, keepdims=True) + eps)
     xhat *= inv
     out_data = gamma.data * xhat + beta.data
 
     def backward(g):
         dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = _mean(dxhat, -1, keepdims=True)
+        m2 = _mean(dxhat * xhat, -1, keepdims=True)
         gx = inv * (dxhat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
@@ -315,18 +337,18 @@ def batch_norm_train(x, gamma, beta, eps=1e-5):
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     axes = tuple(range(x.data.ndim - 1))
-    mean = x.data.mean(axis=axes)
+    mean = _mean(x.data, axes)
     # centred once: the same operations, in the same order, as np.var's own
     xhat = x.data - mean
-    var = (xhat * xhat).mean(axis=axes)
+    var = _mean(xhat * xhat, axes)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     out_data = gamma.data * xhat + beta.data
 
     def backward(g):
         dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=axes)
-        m2 = (dxhat * xhat).mean(axis=axes)
+        m1 = _mean(dxhat, axes)
+        m2 = _mean(dxhat * xhat, axes)
         gx = inv * (dxhat - m1 - xhat * m2)
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
@@ -369,7 +391,7 @@ def cross_entropy(logits, labels):
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logprobs = shifted - logsumexp
-    loss = -logprobs[np.arange(n), labels].mean()
+    loss = -_mean(logprobs[np.arange(n), labels], None)
 
     def backward(g):
         probs = np.exp(logprobs)

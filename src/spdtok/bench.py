@@ -22,7 +22,7 @@ from .spdcore import (
     EigenPair,
     _dk_kernel,
     eig_sym_batch,
-    random_orthogonal,
+    orthogonal_from_normals,
     spectral_apply_batch,
     spectral_backward,
     spectral_reconstruct,
@@ -39,10 +39,6 @@ def _profile_spectrum(rng, d, profile):
         return np.sort(base * (1.0 + rng.uniform(0.0, 1e-9, d)))[::-1]
     return np.sort(np.concatenate([[1.0, 100.0],
                                    np.exp(rng.uniform(0, np.log(100.0), d - 2))]))[::-1]
-
-
-def _random_with_spectrum(rng, lam):
-    return spectral_reconstruct(random_orthogonal(rng, lam.size), lam, IDENTITY)
 
 
 def _ms_per_matrix(call, trials):
@@ -62,8 +58,11 @@ def run_bench(dims, trials: int = 20, seed: int = 0) -> dict:
     for d in dims:
         pairs = d * (d - 1) // 2
         for profile in PROFILES:
-            mats = np.stack([_random_with_spectrum(rng, _profile_spectrum(rng, d, profile))
-                             for _ in range(trials)])
+            # each trial draws its spectrum, then its eigenbasis's normals
+            lams, Zs = zip(*((_profile_spectrum(rng, d, profile), rng.standard_normal((d, d)))
+                             for _ in range(trials)))
+            mats = spectral_reconstruct(orthogonal_from_normals(np.stack(Zs)), np.stack(lams),
+                                        IDENTITY)
             upstream = sym(rng.standard_normal((trials, d, d)))
             eig = EigenPair(*eig_sym_batch(mats))
             grad_ms = {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -12,14 +13,37 @@ from .errors import InvalidSpec, MissingRun
 from .stats import mean_std
 
 
-# the metrics.json keys a report reads
+# the metrics.json keys a report reads, and the curve columns of an epoch row
 RUN_KEYS = ("seed", "config", "epochs", "final_test_accuracy")
+CURVE_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc", "test_loss", "test_acc")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_values(metrics: dict, path: str) -> None:
+    """InvalidSpec naming the file and field unless the final test accuracy
+    is a finite number and every epoch row is an object holding a number
+    under `epoch` and under each curve column."""
+    acc = metrics["final_test_accuracy"]
+    if not (_is_number(acc) and math.isfinite(acc)):
+        raise InvalidSpec(f"{path}: final_test_accuracy must be a finite number, got {acc!r}")
+    if not isinstance(metrics["epochs"], list):
+        raise InvalidSpec(f"{path}: epochs must be a list of rows")
+    for i, row in enumerate(metrics["epochs"]):
+        if not isinstance(row, dict):
+            raise InvalidSpec(f"{path}: epochs[{i}] is not an object")
+        for col in ("epoch",) + CURVE_COLUMNS:
+            if not _is_number(row.get(col)):
+                raise InvalidSpec(f"{path}: epochs[{i}].{col} must be a number, "
+                                  f"got {row.get(col)!r}")
 
 
 def load_run(run_dir: str) -> dict:
     """A run's metrics.json, with `epoch_clock_s`: each epoch's seconds, its
     training loop and its evaluation, from epochs.csv. InvalidSpec when
-    either file is malformed."""
+    either file is malformed or a value the report reads is not a number."""
     metrics_path = os.path.join(run_dir, "metrics.json")
     epochs_path = os.path.join(run_dir, "epochs.csv")
     if not os.path.isfile(metrics_path):
@@ -32,6 +56,7 @@ def load_run(run_dir: str) -> dict:
     if not isinstance(metrics, dict) or not all(k in metrics for k in RUN_KEYS):
         raise InvalidSpec(f"{metrics_path} is not a run's metrics: an object "
                           f"with the keys {', '.join(RUN_KEYS)}")
+    _check_values(metrics, metrics_path)
     epoch_s = []
     if os.path.isfile(epochs_path):
         with open(epochs_path, newline="", encoding="utf-8") as f:
@@ -106,12 +131,10 @@ def markdown_table(consolidated: dict) -> str:
 
 
 def curves_csv(consolidated: dict) -> str:
-    cols = ["seed", "epoch", "train_loss", "train_acc", "val_loss", "val_acc",
-            "test_loss", "test_acc"]
-    out = [",".join(cols)]
+    out = [",".join(("seed", "epoch") + CURVE_COLUMNS)]
     for run in consolidated["runs"]:
         for row in run["epochs"]:
             cells = [str(run["seed"]), str(row["epoch"])]
-            cells += [repr(row[c]) for c in cols[2:]]
+            cells += [repr(row[c]) for c in CURVE_COLUMNS]
             out.append(",".join(cells))
     return "\n".join(out) + "\n"

@@ -54,6 +54,10 @@ anchors, -inf for `EXP`). `clip_to_cone` is the one clip of a stack onto the
 SPD cone: a matrix that passes the Cholesky test of C - CLIP_FLOOR * I keeps
 its bits, and only the others are decomposed and rebuilt; the synthetic
 draws, the barycenter's input and flat tokens all go through it.
+`orthogonal_from_normals` is the one Haar-random orthogonal draw: a stack of
+standard-normal matrices goes through one stacked QR, and `random_orthogonal`
+wraps it on one draw, so a caller that draws a stack matrix by matrix still
+decomposes it in one call.
 """
 
 from __future__ import annotations
@@ -155,10 +159,18 @@ def eig_sym_batch(Cs: np.ndarray):
     return V, vals
 
 
+def orthogonal_from_normals(Z: np.ndarray) -> np.ndarray:
+    """Haar-random orthogonal matrices from a (..., d, d) stack of
+    standard-normal draws: the Q of one stacked QR, each column times the sign
+    of its diagonal entry of R. LAPACK factors every matrix on its own, so row
+    i is the bits of the one-matrix call."""
+    Q, R = np.linalg.qr(Z)
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+
+
 def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-random d x d orthogonal matrix from one standard-normal draw."""
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    return Q * np.sign(np.diag(R))
+    return orthogonal_from_normals(rng.standard_normal((d, d)))
 
 
 def spectral_reconstruct(V: np.ndarray, values: np.ndarray, fn: SpectralFn,

@@ -10,9 +10,11 @@ of the sqrt-space mean gap, eigenvalue-pair counting with the near-degeneracy
 branch fraction, and bitwise determinism.
 
 Suites draw their inputs as stacks, one batched call per dimension (`metrics`
-checks all three distances on one shared draw). The gradient suites draw
-their instances one at a time, in a fixed order, then make one stacked
-backward call per dimension (and embedding, for `gradient_oracle`).
+checks all three distances on one shared draw). A random SPD stack is drawn
+matrix by matrix and built with one stacked QR and one product. The gradient
+suites draw their instances one at a time, in a fixed order, keep each one's
+raw draws, then build their matrices and make one stacked backward call per
+dimension (and embedding, for `gradient_oracle`).
 `barycenter` and `bn_embed` solve all of their barycenter problems in one
 stacked call. Every suite checks its sizes before its first draw, so one
 given nothing to check raises InvalidSpec instead of passing vacuously.
@@ -44,7 +46,7 @@ from .geometry import (
     dispersion_report,
     distance_pairs,
 )
-from .network import ModelConfig, SpdTokenTransformer
+from .network import ModelConfig, SpdTokenTransformer, geometric_bias
 from .spdcore import (
     IDENTITY,
     LOG,
@@ -52,7 +54,7 @@ from .spdcore import (
     dk_matrix,
     eig_sym,
     eig_sym_batch,
-    random_orthogonal,
+    orthogonal_from_normals,
     spectral_apply_batch,
     spectral_backward,
     spectral_reconstruct,
@@ -80,16 +82,25 @@ def _fmt(v):
     return str(v)
 
 
+def _spd_draws(rng, d, kappa_max):
+    """One SPD matrix's raw draws, d >= 2: its condition ratio <= kappa_max,
+    the normals of its eigenbasis, then the rest of its spectrum."""
+    kappa = 10 ** rng.uniform(0.0, np.log10(kappa_max))
+    Z = rng.standard_normal((d, d))
+    return Z, np.concatenate([[1.0, kappa], np.exp(rng.uniform(0, np.log(kappa), d - 2))])
+
+
+def _spd_from_draws(Zs, lams):
+    """The SPD stack of stacked `_spd_draws`: one QR and one product."""
+    return spectral_reconstruct(orthogonal_from_normals(Zs), lams, IDENTITY)
+
+
 def _random_spd_stack(rng, n, d, kappa_max):
     """(n, d, d) SPD stack, d >= 2, each matrix with its own condition ratio
-    <= kappa_max; the draws come matrix by matrix, the products in one call."""
-    Qs = np.empty((n, d, d))
-    lams = np.empty((n, d))
-    for i in range(n):
-        kappa = 10 ** rng.uniform(0.0, np.log10(kappa_max))
-        Qs[i] = random_orthogonal(rng, d)
-        lams[i] = np.concatenate([[1.0, kappa], np.exp(rng.uniform(0, np.log(kappa), d - 2))])
-    return spectral_reconstruct(Qs, lams, IDENTITY)
+    <= kappa_max; the draws come matrix by matrix, the QR and products in one
+    call each."""
+    Zs, lams = zip(*(_spd_draws(rng, d, kappa_max) for _ in range(n)))
+    return _spd_from_draws(np.stack(Zs), np.stack(lams))
 
 
 def _random_symmetric(rng, d, *lead):
@@ -314,16 +325,16 @@ def suite_conditioning(rng, dims=(2, 5, 13, 22), kappas=(10.0, 100.0, 1e4)) -> l
 
 def suite_gradient_bounds(rng, trials=100) -> list:
     _at_least(1, trials=trials)
-    groups = {}  # d -> [(C, G)], drawn in one fixed order
+    groups = {}  # d -> [(Z, lam, G)], drawn in one fixed order
     for _ in range(trials):
         d = int(rng.integers(2, 12))
-        C = _random_spd_stack(rng, 1, d, 1e4)[0]
+        Z, lam = _spd_draws(rng, d, 1e4)
         G = _random_symmetric(rng, d)
-        groups.setdefault(d, []).append((C, G / np.linalg.norm(G)))
+        groups.setdefault(d, []).append((Z, lam, G / np.linalg.norm(G)))
     excess = []
     for group in groups.values():
-        Cs, Gs = (np.stack(x) for x in zip(*group))
-        eig = spdcore.EigenPair(*eig_sym_batch(Cs))
+        Zs, lams, Gs = (np.stack(x) for x in zip(*group))
+        eig = spdcore.EigenPair(*eig_sym_batch(_spd_from_draws(Zs, lams)))
         lam_min = np.maximum(eig.values.min(axis=1), spdcore.CLIP_FLOOR)
         for fn in (SQRT, LOG):
             grads = spectral_backward(eig, fn, Gs)
@@ -339,17 +350,18 @@ def suite_gradient_oracle(rng, dims=(2, 3, 5, 8, 22), per_dim=40) -> list:
     _at_least(1, dims=dims, per_dim=per_dim)
     _at_least(2, smallest_dim=min(dims))
     kinds = (EmbeddingKind.BWSPD, EmbeddingKind.LOG_EUCLIDEAN)
-    groups = {}  # (d, kind) -> [(C, w, E)], drawn in one fixed order
+    groups = {}  # (d, kind) -> [(Z, lam, w, E)], drawn in one fixed order
     for d in dims:
         for _ in range(per_dim):
-            C = _random_spd_stack(rng, 1, d, 1e4)[0]
+            Z, lam = _spd_draws(rng, d, 1e4)
             kind = kinds[int(rng.integers(0, 2))]
             w = rng.standard_normal(d * (d + 1) // 2)
             E = _random_symmetric(rng, d)
-            groups.setdefault((d, kind), []).append((C, w, E / np.linalg.norm(E)))
+            groups.setdefault((d, kind), []).append((Z, lam, w, E / np.linalg.norm(E)))
     errs = []
     for (_, kind), group in groups.items():
-        Cs, Ws, Es = (np.stack(x) for x in zip(*group))
+        Zs, lams, Ws, Es = (np.stack(x) for x in zip(*group))
+        Cs = _spd_from_draws(Zs, lams)
         grads = embed_backward(Cs, kind, Ws)
         hs = np.array([1e-5 * np.linalg.norm(C) for C in Cs])
         hi, lo = (embed_batch(Cs + sign * hs[:, None, None] * Es, kind) for sign in (1.0, -1.0))
@@ -389,26 +401,34 @@ def _frozen_relu(masks: list):
         ad.relu = real
 
 
-def micro_model_gradient_check(rng, n_params=50) -> dict:
-    """Finite differences on a tiny transformer, including the sqrt-token path,
-    with every stencil evaluated under the ReLU masks of the base point."""
+def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard",
+                               use_bn_embed=True) -> dict:
+    """Finite differences on a tiny transformer over `seq_len` sqrt tokens per
+    trial, including the sqrt-token path through trial 0's first token, with
+    every stencil evaluated under the ReLU masks of the base point. Geometric
+    attention reads `geometric_bias` of the base tokens, a constant of the
+    tape, so the input stencil holds it fixed too."""
     d = 4
     D = d * (d + 1) // 2
     model = SpdTokenTransformer(ModelConfig(d_token=D, n_classes=3, d_model=16, layers=2,
-                                            heads=2, d_ff=24, dropout=0.0), seed=5)
-    Cs = _random_spd_stack(rng, 6, d, 100.0)
-    tokens = embed_batch(Cs, EmbeddingKind.BWSPD)[:, None, :]
+                                            heads=2, d_ff=24, dropout=0.0, seq_len=seq_len,
+                                            attention=attention, use_bn_embed=use_bn_embed),
+                                seed=5)
+    Cs = _random_spd_stack(rng, 6 * seq_len, d, 100.0)
+    tokens = embed_batch(Cs, EmbeddingKind.BWSPD).reshape(6, seq_len, D)
     labels = rng.integers(0, 3, 6)
+    bias = geometric_bias(tokens, EmbeddingKind.BWSPD) if attention == "geometric" else None
 
     masks = []
 
     def loss_value(toks=tokens):
         with _frozen_relu(masks):
-            return float(ad.cross_entropy(model.forward(toks, training=True), labels).data)
+            logits = model.forward(toks, training=True, attn_bias=bias)
+            return float(ad.cross_entropy(logits, labels).data)
 
     model.zero_grad()
     with _frozen_relu(masks):
-        loss = ad.cross_entropy(model.forward(tokens, training=True), labels)
+        loss = ad.cross_entropy(model.forward(tokens, training=True, attn_bias=bias), labels)
     loss.backward()
     names = list(model.params)
     checked = 0
@@ -434,7 +454,7 @@ def micro_model_gradient_check(rng, n_params=50) -> dict:
         checked += 1
     # input-gradient path: token gradient -> matrix gradient via the adjoint
     tok_t = ad.Tensor(tokens, requires_grad=True)
-    loss = ad.cross_entropy(model.forward(tok_t, training=True), labels)
+    loss = ad.cross_entropy(model.forward(tok_t, training=True, attn_bias=bias), labels)
     loss.backward()
     grad_C0 = embed_backward(Cs[0], EmbeddingKind.BWSPD, tok_t.grad[0, 0])
     E = _random_symmetric(rng, d)

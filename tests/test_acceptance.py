@@ -42,14 +42,21 @@ def test_criterion_01_gradient_oracle():
     rng = np.random.default_rng(101)
     token_results = suite_gradient_oracle(rng, dims=(2, 3, 5, 8, 22), per_dim=40)
     micro = micro_model_gradient_check(np.random.default_rng(102), n_params=50)
+    # T = 3 runs through Q/K, the softmax, the head split and, in geometric
+    # mode, the bias; the input path goes through one band's token
+    micro_t3 = [micro_model_gradient_check(np.random.default_rng(103), n_params=50, seq_len=3,
+                                           attention=attention, use_bn_embed=bn)
+                for attention in ("standard", "geometric") for bn in (True, False)]
     wall = time.perf_counter() - t0
     instances = token_results[0].measured["instances"]
     ok = (token_results[0].passed and instances >= 200
-          and micro["param_failures"] == 0 and micro["input_path_ok"]
+          and all(m["param_failures"] == 0 and m["input_path_ok"] for m in [micro, *micro_t3])
           and wall < 120.0)
+    t3_params = sum(m["param_checks"] for m in micro_t3)
     assert _report(1, "end-to-end finite-difference gradient agreement", ok,
                    f"{instances} token-path instances + {micro['param_checks']} "
-                   f"micro-model parameters, tolerance max(1e-4, 1e-2|g|), {wall:.1f}s")
+                   f"micro-model parameters at T = 1 + {t3_params} at T = 3 (both attention "
+                   f"modes, BN on and off), tolerance max(1e-4, 1e-2|g|), {wall:.1f}s")
 
 
 def test_criterion_02_conditioning_law():

@@ -1,3 +1,7 @@
+import cProfile
+import os
+import pstats
+
 import numpy as np
 import pytest
 
@@ -370,3 +374,74 @@ class TestCrossEntropy:
         num = numeric_grad(lambda: float(ad.cross_entropy(Tensor(logits.data), labels).data),
                            logits.data)
         assert np.allclose(logits.grad, num, atol=1e-6)
+
+
+def numpy_python_calls(fn):
+    """{name: calls} of numpy's Python-level functions that fn() runs. cProfile
+    also sees those an ndarray method reaches (x.mean() runs numpy's `_mean`),
+    which a monkeypatch of the numpy namespace misses."""
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    counts = {}
+    for (path, _, name), (_, calls, *_) in pstats.Stats(prof).stats.items():
+        if f"{os.sep}numpy{os.sep}" in path:
+            counts[name] = counts.get(name, 0) + calls
+    return counts
+
+
+def np_pad_form(a, b, cols):
+    """`_matmul_cols` as np.pad builds its padded weight."""
+    return ad._matmul(a, np.pad(b, ((0, 0), (0, cols - b.shape[1]))))[:, :b.shape[1]]
+
+
+class TestNoNumpyWrappersOnTheTape:
+    @pytest.mark.parametrize("m, k", [(128, 2), (64, 3), (253, 128)])
+    def test_linear_never_calls_np_pad(self, rng, m, k):
+        # a 2- or 3-column head pads W, a 253-input layer pads W.T in backward
+        x = Tensor(rng.standard_normal((64, 1, m)), requires_grad=True)
+        W = Tensor(rng.standard_normal((m, k)), requires_grad=True)
+        w = rng.standard_normal(64 * k)
+        counts = numpy_python_calls(lambda: scalar_loss(ad.linear(x, W), w).backward())
+        assert counts.get("pad", 0) == 0
+        assert x.grad is not None and W.grad is not None
+
+    # (rows, inner) @ (inner, width) of the frozen and micro models: narrow
+    # heads padded to MIN_COLS, and input gradients against W.T whose width
+    # (253, 1596, 36 tokens; 10 in the micro model) pads to KERNEL_COLS
+    @pytest.mark.parametrize("rows", [1, 32, 64])
+    @pytest.mark.parametrize("inner, width, transposed", [
+        (128, 2, False), (64, 2, False), (16, 3, False),
+        (128, 253, True), (128, 1596, True), (128, 36, True), (64, 36, True), (16, 10, True)])
+    def test_padded_product_keeps_the_np_pad_bits(self, rng, rows, inner, width, transposed):
+        a = rng.standard_normal((rows, inner))
+        b = rng.standard_normal((width, inner)).T if transposed else rng.standard_normal((inner, width))
+        cols = (ad.MIN_COLS if width <= ad.MIN_COLS
+                else -(-width // ad.KERNEL_COLS) * ad.KERNEL_COLS)
+        assert ad._matmul_cols(a, b, cols).tobytes() == np_pad_form(a, b, cols).tobytes()
+
+    def test_tape_means_never_call_np_mean(self, rng):
+        x = Tensor(rng.standard_normal((8, 3, 16)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(16), requires_grad=True), Tensor(np.zeros(16), requires_grad=True)
+
+        def step():
+            h, _, _ = ad.batch_norm_train(x, gamma, beta)
+            h = ad.layer_norm(h, gamma, beta)
+            logits = ad.linear(ad.mean_over_axis(h, axis=1), Tensor(rng.standard_normal((16, 4))))
+            ad.cross_entropy(logits, np.arange(8) % 4).backward()
+
+        counts = numpy_python_calls(step)
+        assert counts.get("_mean", 0) == 0 and counts.get("mean", 0) == 0
+        assert x.grad is not None and gamma.grad is not None
+
+    # the mean sites of the frozen models: layer norm over d_model, batch norm
+    # over (batch, T) per token entry, pooling over T, the loss over the batch
+    @pytest.mark.parametrize("shape, axis, keepdims", [
+        ((64, 1, 128), -1, True), ((32, 3, 64), -1, True), ((1, 1, 128), -1, True),
+        ((64, 1, 253), (0, 1), False), ((32, 1, 1596), (0, 1), False),
+        ((32, 3, 36), (0, 1), False), ((2, 1, 36), (0, 1), False),
+        ((64, 1, 128), 1, False), ((32, 3, 64), 1, False), ((64,), None, False), ((5,), None, False)])
+    def test_mean_keeps_the_np_mean_bits(self, rng, shape, axis, keepdims):
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        got, want = ad._mean(a, axis, keepdims=keepdims), np.mean(a, axis=axis, keepdims=keepdims)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -228,6 +228,35 @@ class TestReport:
             assert main(["report", run]) == 2, case
             assert capsys.readouterr().err.startswith("error: "), case
 
+    BAD_VALUES = {
+        "accuracy_not_numeric": {"final_test_accuracy": "high"},
+        "accuracy_nan": {"final_test_accuracy": float("nan")},
+        "accuracy_bool": {"final_test_accuracy": True},
+        "accuracy_null": {"final_test_accuracy": None},
+        "epochs_not_a_list": {"epochs": 3},
+        "row_not_an_object": {"epochs": [[1, 1.0]]},
+        "row_without_curves": {"epochs": [{"epoch": 1}]},
+        "row_epoch_not_numeric": {"epochs": [{"epoch": "one", "train_loss": 1.0, "train_acc": 0.5,
+                                              "val_loss": 1.0, "val_acc": 0.5, "test_loss": 1.0,
+                                              "test_acc": 0.5}]},
+        "row_loss_not_numeric": {"epochs": [{"epoch": 1, "train_loss": "1.0", "train_acc": 0.5,
+                                             "val_loss": 1.0, "val_acc": 0.5, "test_loss": 1.0,
+                                             "test_acc": 0.5}]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_values_are_typed(self, tmp_path, capsys, case):
+        run = self.fixture_run(tmp_path / "run", 1, "epoch,wall_clock_s\n1,1.0\n")
+        metrics_path = tmp_path / "run" / "metrics.json"
+        metrics = json.loads(metrics_path.read_text())
+        metrics.update(self.BAD_VALUES[case])
+        metrics_path.write_text(json.dumps(metrics))
+        field = next(iter(self.BAD_VALUES[case]))
+        with pytest.raises(InvalidSpec, match=f"metrics.json: {field}"):
+            load_run(run)
+        assert main(["report", run, "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_time_per_epoch_counts_the_evaluation(self, tmp_path):
         runs = [self.fixture_run(tmp_path / "a", 1,
                                  "epoch,wall_clock_s,eval_clock_s\n1,1.0,0.5\n2,2.0,0.5\n"),

@@ -594,3 +594,25 @@ print(digest.hexdigest())
 def test_stacked_backward_bits_independent_of_blas_threads():
     hashes = {t: stdout_at_blas_threads(["-c", STACKED_BACKWARD_HASH], t) for t in ("1", "2")}
     assert hashes["1"] == hashes["2"]
+
+
+# for each d: row i of one stacked draw equals the i-th one-matrix draw from
+# the same generator, a leading axis more changes nothing, and Q^T Q = I
+ORTHOGONAL_ROWS = """
+import numpy as np
+from spdtok.spdcore import orthogonal_from_normals, random_orthogonal
+for d in (1, 2, 3, 8, 22, 56):
+    Z = np.random.default_rng(d).standard_normal((5, d, d))
+    Q = orthogonal_from_normals(Z)
+    rng = np.random.default_rng(d)
+    rows = all(np.array_equal(Q[i], random_orthogonal(rng, d)) for i in range(5))
+    lead = np.array_equal(orthogonal_from_normals(Z.reshape(1, 5, d, d))[0], Q)
+    drift = np.max(np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(d)))
+    print(d, rows, lead, drift <= 1e-12)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stacked_orthogonal_draw_has_the_bits_of_one_matrix_draws(threads):
+    lines = stdout_at_blas_threads(["-c", ORTHOGONAL_ROWS], threads).splitlines()
+    assert lines == [f"{d} True True True" for d in (1, 2, 3, 8, 22, 56)]

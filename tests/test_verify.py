@@ -6,6 +6,7 @@ import pytest
 
 from spdtok import autodiff as ad
 from spdtok import verify
+from spdtok.bench import run_bench
 from spdtok.embedding import unvech
 from spdtok.errors import InvalidSpec
 from spdtok.geometry import DistanceKind
@@ -99,6 +100,41 @@ def test_mutation_naive_log_dk_fails_conditioning_check():
     assert good["ok"]
 
 
+def counted_qr(monkeypatch):
+    """The shapes np.linalg.qr is called on from here on."""
+    shapes = []
+    real = np.linalg.qr
+
+    def qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return shapes
+
+
+def test_one_qr_per_random_spd_stack(monkeypatch):
+    shapes = counted_qr(monkeypatch)
+    verify._random_spd_stack(np.random.default_rng(0), 7, 5, 100.0)
+    assert shapes == [(7, 5, 5)]
+    shapes.clear()
+    verify.suite_distortion(np.random.default_rng(0), dims=(2, 5), n_pairs=10)
+    assert shapes == [(10, 2, 2), (10, 2, 2), (10, 5, 5), (10, 5, 5)]
+
+
+def test_gradient_suites_and_bench_make_one_qr_per_group(monkeypatch):
+    shapes = counted_qr(monkeypatch)
+    verify.suite_gradient_bounds(np.random.default_rng(0), trials=30)
+    dims = [s[-1] for s in shapes]
+    assert len(dims) == len(set(dims)) and sum(s[0] for s in shapes) == 30
+    shapes.clear()
+    verify.suite_gradient_oracle(np.random.default_rng(0), dims=(2, 3), per_dim=6)
+    assert len(shapes) <= 4 and sum(s[0] for s in shapes) == 12
+    shapes.clear()
+    run_bench((2, 3), trials=4)
+    assert shapes == [(4, 2, 2)] * 2 + [(4, 3, 3)] * 2
+
+
 def test_distortion_sweep_counts_injected_violation():
     rng = np.random.default_rng(0)
     sweep = distortion_sweep(rng, d=5, n_pairs=50)
@@ -133,6 +169,43 @@ def test_mutation_maskless_relu_backward_fails_micro_model(monkeypatch):
     res = micro_model_gradient_check(np.random.default_rng(11))
     assert res["param_failures"] > 0
     assert not res["input_path_ok"]
+
+
+@pytest.mark.parametrize("attention", ["standard", "geometric"])
+@pytest.mark.parametrize("use_bn_embed", [True, False])
+def test_micro_model_gradient_check_at_three_tokens(attention, use_bn_embed):
+    res = micro_model_gradient_check(np.random.default_rng(11), n_params=20, seq_len=3,
+                                     attention=attention, use_bn_embed=use_bn_embed)
+    assert res["param_checks"] == 20
+    assert res["param_failures"] == 0
+    assert res["input_path_ok"]
+
+
+def rowsumless_softmax(a, axis=-1):
+    a = ad.as_tensor(a)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    return ad.Tensor(y, parents=(a,), backward=lambda g: (y * g,))
+
+
+def untransposing_bmm(a, b, transpose_b=False):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
+    return ad.Tensor(a.data @ bd, parents=(a, b), backward=lambda g: (
+        g @ np.swapaxes(bd, -1, -2), np.swapaxes(a.data, -1, -2) @ g))
+
+
+@pytest.mark.parametrize("op, mutant", [("softmax", rowsumless_softmax),
+                                        ("bmm", untransposing_bmm)])
+def test_mutated_attention_backward_fails_only_at_three_tokens(monkeypatch, op, mutant):
+    # at T = 1 attention skips the softmax and both bmm, so only T = 3 sees them
+    monkeypatch.setattr(ad, op, mutant)
+    one = micro_model_gradient_check(np.random.default_rng(11), n_params=20)
+    assert one["param_failures"] == 0 and one["input_path_ok"]
+    for attention in ("standard", "geometric"):
+        three = micro_model_gradient_check(np.random.default_rng(11), n_params=20, seq_len=3,
+                                           attention=attention)
+        assert three["param_failures"] > 0, attention
 
 
 def test_mutation_squared_frobenius_fails_metrics(monkeypatch):
