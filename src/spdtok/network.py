@@ -24,6 +24,16 @@ block computes only that: Q/K are never applied and get no gradient (their
 `grad` stays None, so Adam skips them), yet they stay in the parameter dict,
 so checkpoints and parameter counts do not depend on T.
 
+Stacked models: `SpdTokenTransformer.stacked(models)` builds one model whose
+parameters and BN running statistics are the `(S, ...)` stacks of S models of
+one configuration. Its forward takes shared `(batch, T, D)` or per-slice
+`(S, batch, T, D)` tokens (and a shared or per-slice bias) and returns
+`(S, batch, C)` logits; train mode updates each slice's running statistics
+from its own batch. Every op works slice by slice on the tape's stack axis
+(see `autodiff`), so slice s keeps the bits of models[s].forward on the same
+tokens, in eval mode and in train mode without dropout. Dropout draws one mask
+over the whole stack, so a slice's draws are not its model's own.
+
 Eval mode (`training=False`) reads the parameters' values through constant
 tensors, so it gives no parameter gradients: on a plain array it builds no
 graph at all, and an input that requires grad still gets its gradient while
@@ -110,6 +120,25 @@ class SpdTokenTransformer:
         self.params = {name: Tensor(v, requires_grad=True) for name, v in p.items()}
         self.running_mean = np.zeros(c.d_model)
         self.running_var = np.ones(c.d_model)
+        self.stack = ()  # (S,) for a stacked model
+
+    @classmethod
+    def stacked(cls, models) -> "SpdTokenTransformer":
+        """One model holding S = len(models) unstacked models of one
+        configuration as slices: every parameter and running statistic is
+        the (S, ...) stack of theirs, copied. `stacked([m] * S)` gives S
+        copies of m."""
+        models = list(models)
+        if not models or any(m.stack or m.config != models[0].config for m in models):
+            raise InvalidSpec("stacked() needs one or more unstacked models of one config")
+        out = cls.__new__(cls)
+        out.config = models[0].config
+        out.params = {name: Tensor(np.array([m.params[name].data for m in models]),
+                                   requires_grad=True) for name in models[0].params}
+        out.running_mean = np.array([m.running_mean for m in models])
+        out.running_var = np.array([m.running_var for m in models])
+        out.stack = (len(models),)
+        return out
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -118,9 +147,9 @@ class SpdTokenTransformer:
 
         'core' counts projection + encoder + head, the convention used for the
         published totals; 'total' additionally counts the positional table and
-        the embedding-norm affine parameters.
+        the embedding-norm affine parameters. A stacked model counts one slice.
         """
-        sizes = {name: t.data.size for name, t in self.params.items()}
+        sizes = {name: t.data.size // math.prod(self.stack) for name, t in self.params.items()}
         proj = sum(v for k, v in sizes.items() if k.startswith("proj."))
         pos = sizes.get("pos", 0)
         bn = sum(v for k, v in sizes.items() if k.startswith("bn."))
@@ -164,17 +193,23 @@ class SpdTokenTransformer:
                 dropout_rng: np.random.Generator | None = None) -> Tensor:
         """Logits for a (batch, T, d_token) array (a (batch, d_token) array is
         treated as T = 1). Geometric attention at T > 1 needs `attn_bias`,
-        the (batch, T, T) transport distances of `geometric_bias`."""
+        the (batch, T, T) transport distances of `geometric_bias`. A stacked
+        model also takes (S, batch, T, d_token) tokens and an (S, batch, T, T)
+        bias, and returns (S, batch, n_classes) logits."""
         c = self.config
+        stack = self.stack
         x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
         if x.data.ndim == 2:
             x = ad.reshape(x, (x.data.shape[0], 1, x.data.shape[1]))
-        if x.data.ndim != 3 or x.data.shape[1] != c.seq_len or x.data.shape[2] != c.d_token:
-            raise ShapeMismatch(
-                f"tokens shape {x.data.shape}, expected (batch, {c.seq_len}, {c.d_token})")
+        if stack and x.data.ndim == 3:
+            x = _shared_across(x, stack)
+        if (x.data.ndim != len(stack) + 3 or x.data.shape[:len(stack)] != stack
+                or x.data.shape[-2] != c.seq_len or x.data.shape[-1] != c.d_token):
+            raise ShapeMismatch(f"tokens shape {x.data.shape}, expected "
+                                f"{stack}(batch, {c.seq_len}, {c.d_token})")
         if training and c.dropout > 0.0 and dropout_rng is None:
             raise InvalidSpec("training with dropout needs a dropout_rng")
-        batch = x.data.shape[0]
+        batch = x.data.shape[-3]
 
         if c.attention == "geometric" and c.seq_len > 1 and attn_bias is None:
             raise InvalidSpec("geometric attention over several tokens needs attn_bias")
@@ -183,7 +218,8 @@ class SpdTokenTransformer:
         # a gradient, and on a plain array no node or closure is kept
         p = self.params if training else {n: Tensor(t.data) for n, t in self.params.items()}
         h = ad.linear(x, p["proj.W"], p["proj.b"])
-        h = ad.add(h, p["pos"])
+        pos = p["pos"] if not stack else ad.reshape(p["pos"], stack + (1,) + p["pos"].shape[1:])
+        h = ad.add(h, pos)
         if c.use_bn_embed:
             if training:
                 if batch * c.seq_len < 2:
@@ -211,7 +247,7 @@ class SpdTokenTransformer:
             if not np.all(np.isfinite(h.data)):
                 raise NonFinite(f"non-finite activations after encoder block {i}")
 
-        pooled = ad.mean_over_axis(h, axis=1)
+        pooled = ad.mean_over_axis(h, axis=-2)
         logits = ad.linear(pooled, p["head.W"], p["head.b"])
         if not np.all(np.isfinite(logits.data)):
             raise NonFinite("non-finite logits")
@@ -221,15 +257,17 @@ class SpdTokenTransformer:
         """Block i's self-attention on h, with weights from `p` (the live
         parameters, or forward's constant eval-mode views of them)."""
         c = self.config
-        batch, T, _ = h.data.shape
+        *lead, T, _ = h.data.shape
+        lead = tuple(lead)
         if T == 1:  # softmax over one key is exactly 1 (see the module docstring)
             v = ad.linear(h, p[f"enc{i}.attn.Wv"], p[f"enc{i}.attn.bv"])
             return ad.linear(v, p[f"enc{i}.attn.Wo"], p[f"enc{i}.attn.bo"])
         dk = c.d_model // c.heads
+        n = len(lead)
+        swap = tuple(range(n)) + (n + 1, n, n + 2)  # (..., T, heads, dk) <-> (..., heads, T, dk)
 
         def heads(t):
-            t = ad.reshape(t, (batch, T, c.heads, dk))
-            return ad.transpose(t, (0, 2, 1, 3))
+            return ad.transpose(ad.reshape(t, lead + (T, c.heads, dk)), swap)
 
         q = heads(ad.linear(h, p[f"enc{i}.attn.Wq"], p[f"enc{i}.attn.bq"]))
         k = heads(ad.linear(h, p[f"enc{i}.attn.Wk"], p[f"enc{i}.attn.bk"]))
@@ -237,14 +275,21 @@ class SpdTokenTransformer:
         dot = ad.bmm(q, k, transpose_b=True)
         if c.attention == "geometric":
             scores = ad.scale(dot, (1.0 - c.geo_alpha) / math.sqrt(dk))
-            bias = Tensor(-c.geo_alpha * attn_bias[:, None, :, :])
+            bias = Tensor(-c.geo_alpha * attn_bias[..., None, :, :])
             scores = ad.add(scores, bias)
         else:
             scores = ad.scale(dot, 1.0 / math.sqrt(dk))
         weights = ad.softmax(scores, axis=-1)
         ctx = ad.bmm(weights, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, T, c.d_model))
+        ctx = ad.reshape(ad.transpose(ctx, swap), lead + (T, c.d_model))
         return ad.linear(ctx, p[f"enc{i}.attn.Wo"], p[f"enc{i}.attn.bo"])
+
+
+def _shared_across(x: Tensor, stack: tuple) -> Tensor:
+    """x read by every slice of a stack: a broadcast view whose gradient is
+    the sum of the slices'."""
+    return Tensor(np.broadcast_to(x.data, stack + x.data.shape), parents=(x,),
+                  backward=lambda g: (g.sum(axis=0),))
 
 
 def geometric_bias(tokens: np.ndarray, kind) -> np.ndarray:

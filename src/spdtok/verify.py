@@ -401,13 +401,25 @@ def _frozen_relu(masks: list):
         ad.relu = real
 
 
+# finite-difference stencils per stacked forward of the micro model: 16 model
+# replicas take about 0.5 MB, where all 102 of a default check took 3.3 MB
+STENCIL_STACK = 16
+
+
 def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard",
                                use_bn_embed=True) -> dict:
     """Finite differences on a tiny transformer over `seq_len` sqrt tokens per
     trial, including the sqrt-token path through trial 0's first token, with
     every stencil evaluated under the ReLU masks of the base point. Geometric
     attention reads `geometric_bias` of the base tokens, a constant of the
-    tape, so the input stencil holds it fixed too."""
+    tape, so the input stencil holds it fixed too.
+
+    The ±h stencils of the n_params picked entries and the two input-path
+    stencils run as slices of stacked copies of the model, at most
+    STENCIL_STACK per forward: ceil((2 n_params + 2) / STENCIL_STACK)
+    forwards besides the two taped ones. A slice keeps the bits of its
+    one-model forward (see `network`), so every loss, and the result, is the
+    one a forward per stencil gives."""
     d = 4
     D = d * (d + 1) // 2
     model = SpdTokenTransformer(ModelConfig(d_token=D, n_classes=3, d_model=16, layers=2,
@@ -420,38 +432,22 @@ def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard"
     bias = geometric_bias(tokens, EmbeddingKind.BWSPD) if attention == "geometric" else None
 
     masks = []
-
-    def loss_value(toks=tokens):
-        with _frozen_relu(masks):
-            logits = model.forward(toks, training=True, attn_bias=bias)
-            return float(ad.cross_entropy(logits, labels).data)
-
     model.zero_grad()
     with _frozen_relu(masks):
         loss = ad.cross_entropy(model.forward(tokens, training=True, attn_bias=bias), labels)
     loss.backward()
     names = list(model.params)
-    checked = 0
-    failures = 0
-    worst = 0.0
-    while checked < n_params:
+    steps, grads = [], []
+    stencils = []  # (parameter name, entry, value, tokens); name None moves only the tokens
+    for _ in range(n_params):
         name = names[int(rng.integers(0, len(names)))]
         p = model.params[name]
         idx = np.unravel_index(int(rng.integers(0, p.data.size)), p.data.shape)
         old = p.data[idx]
         h = 1e-5 * max(1.0, abs(old))
-        p.data[idx] = old + h
-        hi = loss_value()
-        p.data[idx] = old - h
-        lo = loss_value()
-        p.data[idx] = old
-        num = (hi - lo) / (2.0 * h)
-        got = p.grad[idx] if p.grad is not None else 0.0
-        tol = max(1e-4, 1e-2 * abs(got))
-        err = abs(got - num)
-        worst = max(worst, err / tol)
-        failures += err > tol
-        checked += 1
+        steps.append(h)
+        grads.append(p.grad[idx] if p.grad is not None else 0.0)
+        stencils += [(name, idx, old + h, tokens), (name, idx, old - h, tokens)]
     # input-gradient path: token gradient -> matrix gradient via the adjoint
     tok_t = ad.Tensor(tokens, requires_grad=True)
     loss = ad.cross_entropy(model.forward(tok_t, training=True, attn_bias=bias), labels)
@@ -460,16 +456,40 @@ def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard"
     E = _random_symmetric(rng, d)
     E /= np.linalg.norm(E)
     h = 1e-5 * np.linalg.norm(Cs[0])
-
-    def loss_of_first(Cmat):
+    for sign in (1.0, -1.0):
         toks = tokens.copy()
-        toks[0, 0] = embed(Cmat, EmbeddingKind.BWSPD)
-        return loss_value(toks)
+        toks[0, 0] = embed(Cs[0] + sign * h * E, EmbeddingKind.BWSPD)
+        stencils.append((None, None, None, toks))
 
-    want = (loss_of_first(Cs[0] + h * E) - loss_of_first(Cs[0] - h * E)) / (2.0 * h)
+    losses = []
+    stack = None
+    for start in range(0, len(stencils), STENCIL_STACK):
+        chunk = stencils[start:start + STENCIL_STACK]
+        if stack is None or stack.stack != (len(chunk),):
+            stack = SpdTokenTransformer.stacked([model] * len(chunk))
+        moved = [(s, name, idx, value) for s, (name, idx, value, _) in enumerate(chunk)
+                 if name is not None]
+        for s, name, idx, value in moved:
+            stack.params[name].data[(s,) + idx] = value
+        with _frozen_relu(masks):
+            logits = stack.forward(np.stack([toks for *_, toks in chunk]), training=True,
+                                   attn_bias=bias)
+        losses += ad.cross_entropy(logits, labels).data.tolist()
+        for s, name, idx, _ in moved:  # back to the base point for the next chunk
+            stack.params[name].data[(s,) + idx] = model.params[name].data[idx]
+
+    failures = 0
+    worst = 0.0
+    for j, (step, got) in enumerate(zip(steps, grads)):
+        num = (losses[2 * j] - losses[2 * j + 1]) / (2.0 * step)
+        tol = max(1e-4, 1e-2 * abs(got))
+        err = abs(got - num)
+        worst = max(worst, err / tol)
+        failures += err > tol
+    want = (losses[-2] - losses[-1]) / (2.0 * h)
     got = float(np.sum(grad_C0 * E))
     input_ok = abs(got - want) <= max(1e-4, 1e-2 * abs(got))
-    return {"param_checks": checked, "param_failures": int(failures),
+    return {"param_checks": n_params, "param_failures": int(failures),
             "worst_err_over_tol": float(worst), "input_path_ok": bool(input_ok)}
 
 

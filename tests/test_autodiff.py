@@ -7,7 +7,7 @@ import pytest
 
 from spdtok import autodiff as ad
 from spdtok.autodiff import Tensor
-from spdtok.errors import GraphCycle, LabelOutOfRange, ShapeMismatch
+from spdtok.errors import GraphCycle, InvalidSpec, LabelOutOfRange, ShapeMismatch
 
 from conftest import stdout_at_blas_threads
 
@@ -77,13 +77,18 @@ class TestBasics:
 
 
 class _CountingTranspose(np.ndarray):
-    """An ndarray that counts reads of its `.T`, the operand of `g @ W.T`."""
+    """An ndarray that counts its transposes (`.T` or `swapaxes`), the operand
+    of the input gradient `g @ W.T`."""
     reads = 0
 
     @property
     def T(self):
         type(self).reads += 1
         return super().T
+
+    def swapaxes(self, *axes):
+        type(self).reads += 1
+        return super().swapaxes(*axes)
 
 
 class TestLinear:
@@ -445,3 +450,161 @@ class TestNoNumpyWrappersOnTheTape:
         got, want = ad._mean(a, axis, keepdims=keepdims), np.mean(a, axis=axis, keepdims=keepdims)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+S = 5  # slices of the stacked-op tests
+
+
+def slice_grads(build, leaves, up):
+    """(output, leaf gradients) of build(*leaves) under the upstream gradient
+    `up`: the scalar loss hands the output exactly `up`."""
+    leaves = [Tensor(a, requires_grad=True) for a in leaves]
+    out = build(*leaves)
+    out = out[0] if isinstance(out, tuple) else out
+    scalar_loss(out, up.ravel()).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_slices_keep_bits(build, stacked_leaves, up, shared=()):
+    """build on the stacked leaves gives, slice by slice, the output and the
+    leaf gradients of build on each slice alone; `shared` indexes leaves that
+    every slice reads whole."""
+    out, grads = slice_grads(build, stacked_leaves, up)
+    for s in range(S):
+        one = [a if i in shared else a[s] for i, a in enumerate(stacked_leaves)]
+        out_s, grads_s = slice_grads(build, one, up[s])
+        assert out[s].tobytes() == out_s.tobytes(), s
+        for i, (g, g_s) in enumerate(zip(grads, grads_s)):
+            if i not in shared:
+                assert g[s].tobytes() == g_s.tobytes(), (s, i)
+
+
+class TestStackAxis:
+    """Slice s of a stacked op, forward and backward, has the bits of the
+    unstacked op on slice s."""
+
+    # one-row products, a two-class head (padded to MIN_COLS), widths no
+    # multiple of KERNEL_COLS (36, 253) and inner dimensions past one K_BLOCK
+    @pytest.mark.parametrize("rows, m, k", [
+        ((1,), 16, 2), ((7, 1), 36, 36), ((32, 1), 253, 128), ((4, 3), 16, 24),
+        ((12, 1), 300, 4), ((1, 1), 1596, 64)])
+    def test_linear(self, rng, rows, m, k):
+        x = rng.standard_normal((S,) + rows + (m,))
+        W, b = rng.standard_normal((S, m, k)), rng.standard_normal((S, k))
+        assert_slices_keep_bits(ad.linear, [x, W, b], rng.standard_normal((S,) + rows + (k,)))
+
+    def test_linear_without_bias(self, rng):
+        x, W = rng.standard_normal((S, 6, 2, 10)), rng.standard_normal((S, 10, 3))
+        assert_slices_keep_bits(ad.linear, [x, W], rng.standard_normal((S, 6, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(8, 1, 16), (6, 3, 36), (1, 1, 128)])
+    def test_layer_norm(self, rng, shape):
+        x = rng.standard_normal((S,) + shape) * 3.0 + 1.0
+        gamma, beta = rng.uniform(0.5, 1.5, (S, shape[-1])), rng.standard_normal((S, shape[-1]))
+        assert_slices_keep_bits(ad.layer_norm, [x, gamma, beta], rng.standard_normal(x.shape))
+
+    @pytest.mark.parametrize("shape", [(32, 1, 16), (6, 3, 36), (2, 1, 128)])
+    def test_batch_norm_train(self, rng, shape):
+        x = rng.standard_normal((S,) + shape) * 3.0 + 1.0
+        gamma, beta = rng.uniform(0.5, 1.5, (S, shape[-1])), rng.standard_normal((S, shape[-1]))
+        assert_slices_keep_bits(ad.batch_norm_train, [x, gamma, beta],
+                                rng.standard_normal(x.shape))
+        _, mean, var = ad.batch_norm_train(Tensor(x), Tensor(gamma), Tensor(beta))
+        assert mean.shape == var.shape == (S, shape[-1])
+        for s in range(S):
+            _, mean_s, var_s = ad.batch_norm_train(Tensor(x[s]), Tensor(gamma[s]), Tensor(beta[s]))
+            assert mean[s].tobytes() == mean_s.tobytes() and var[s].tobytes() == var_s.tobytes()
+
+    def test_batch_norm_eval(self, rng):
+        x = rng.standard_normal((S, 6, 3, 16))
+        gamma, beta = rng.uniform(0.5, 1.5, (S, 16)), rng.standard_normal((S, 16))
+        rm, rv = rng.standard_normal((S, 16)), rng.uniform(0.5, 2.0, (S, 16))
+        out, grads = slice_grads(lambda x, g, b: ad.batch_norm_eval(x, g, b, rm, rv),
+                                 [x, gamma, beta], up := rng.standard_normal(x.shape))
+        for s in range(S):
+            out_s, grads_s = slice_grads(lambda x, g, b: ad.batch_norm_eval(x, g, b, rm[s], rv[s]),
+                                         [x[s], gamma[s], beta[s]], up[s])
+            assert out[s].tobytes() == out_s.tobytes()
+            assert all(g[s].tobytes() == g_s.tobytes() for g, g_s in zip(grads, grads_s))
+
+    @pytest.mark.parametrize("per_slice_labels", [False, True])
+    def test_cross_entropy(self, rng, per_slice_labels):
+        logits = rng.standard_normal((S, 11, 3)) * 4.0
+        labels = rng.integers(0, 3, (S, 11) if per_slice_labels else 11)
+        loss, (grad,) = slice_grads(lambda z: ad.cross_entropy(z, labels), [logits], np.ones(S))
+        assert loss.shape == (S,)
+        for s in range(S):
+            y = labels[s] if per_slice_labels else labels
+            loss_s, (grad_s,) = slice_grads(lambda z: ad.cross_entropy(z, y), [logits[s]],
+                                            np.ones(1))
+            assert loss[s].tobytes() == loss_s.tobytes()
+            assert grad[s].tobytes() == grad_s.tobytes()
+
+    def test_padded_stacked_product_keeps_the_np_pad_bits(self, rng):
+        # a transposed stacked weight is Fortran-ordered in every slice, and
+        # is padded in that order, as np.pad pads one transposed slice
+        a = rng.standard_normal((S, 32, 128))
+        b = rng.standard_normal((S, 253, 128)).swapaxes(-1, -2)
+        got = ad._matmul_cols(a, b, 256)
+        for s in range(S):
+            assert got[s].tobytes() == np_pad_form(a[s], b[s], 256).tobytes()
+
+
+class TestOperandErrors:
+    """Malformed operands of the stack-aware ops fail typed."""
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])])
+    def test_cross_entropy_non_integer_labels(self, labels):
+        with pytest.raises(LabelOutOfRange):
+            ad.cross_entropy(Tensor(np.zeros((2, 3))), labels)
+
+    def test_cross_entropy_empty_batch(self):
+        with pytest.raises(ShapeMismatch):
+            ad.cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2, 3)])
+    def test_cross_entropy_logits_without_class_axis(self, shape):
+        with pytest.raises(ShapeMismatch):
+            ad.cross_entropy(Tensor(np.zeros(shape)), np.zeros(shape[:-1] or (1,), dtype=int))
+
+    def test_cross_entropy_labels_of_another_stack(self):
+        with pytest.raises(ShapeMismatch):
+            ad.cross_entropy(Tensor(np.zeros((5, 2, 3))), np.zeros((4, 2), dtype=int))
+
+    def test_linear_one_dimensional_weight(self, rng):
+        with pytest.raises(ShapeMismatch):
+            ad.linear(Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(3)))
+
+    @pytest.mark.parametrize("x_shape, W_shape, b_shape", [
+        ((4, 6, 3), (5, 3, 2), None), ((5, 6, 3), (5, 3, 2), (4, 2)),
+        ((6, 3), (3, 2), (5, 2)), ((5, 6, 3), (2, 5, 3, 2), None)])
+    def test_linear_operands_of_another_stack(self, rng, x_shape, W_shape, b_shape):
+        b = None if b_shape is None else Tensor(rng.standard_normal(b_shape))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(Tensor(rng.standard_normal(x_shape)), Tensor(rng.standard_normal(W_shape)), b)
+
+    @pytest.mark.parametrize("op", ["layer_norm", "batch_norm_train", "batch_norm_eval"])
+    @pytest.mark.parametrize("gamma_shape, beta_shape, x_shape", [
+        ((7,), (6,), (4, 1, 6)), ((6,), (7,), (4, 1, 6)), ((7,), (7,), (4, 1, 6)),
+        ((5, 6), (5, 6), (4, 2, 1, 6)), ((5, 6), (4, 6), (5, 2, 1, 6))])
+    def test_normalisation_parameters_off_the_feature_axis(self, rng, op, gamma_shape,
+                                                           beta_shape, x_shape):
+        x = Tensor(rng.standard_normal(x_shape))
+        gamma, beta = Tensor(np.ones(gamma_shape)), Tensor(np.zeros(beta_shape))
+        with pytest.raises(ShapeMismatch):
+            if op == "batch_norm_eval":
+                ad.batch_norm_eval(x, gamma, beta, np.zeros(gamma_shape), np.ones(gamma_shape))
+            else:
+                getattr(ad, op)(x, gamma, beta)
+
+    def test_batch_norm_eval_statistics_of_another_stack(self, rng):
+        x = Tensor(rng.standard_normal((5, 4, 1, 6)))
+        gamma, beta = Tensor(np.ones((5, 6))), Tensor(np.zeros((5, 6)))
+        with pytest.raises(ShapeMismatch):
+            ad.batch_norm_eval(x, gamma, beta, np.zeros((4, 6)), np.ones((4, 6)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
+def test_dropout_outside_unit_interval_refused(rng, p):
+    with pytest.raises(InvalidSpec):
+        ad.dropout(Tensor(np.ones((3, 4))), p, rng)

@@ -15,7 +15,7 @@ from spdtok.network import (
 from spdtok.optim import Adam, adam_step
 from spdtok.tasks import SCALED_MODEL
 
-from conftest import random_spd
+from conftest import random_spd, stdout_at_blas_threads
 
 
 def micro_model(**overrides):
@@ -526,3 +526,108 @@ def _pad_first_row(t, extra_rows):
 
     padded = np.concatenate([t.data, np.zeros((extra_rows,) + t.data.shape[1:])], axis=0)
     return ad.Tensor(padded, parents=(t,), backward=backward)
+
+
+# (d_token, seq_len, n_classes, model overrides) of every frozen task in
+# `spdtok.tasks`: learning sanity (d = 22 log tokens, default model), BN
+# dimension at d = 8 and 56 with and without BN, geometry gap, band mixture
+# with three band tokens and with one
+FROZEN_MODELS = [(253, 1, 4, {}), (36, 1, 4, dict(use_bn_embed=True)),
+                 (36, 1, 4, dict(use_bn_embed=False)), (1596, 1, 4, dict(use_bn_embed=True)),
+                 (1596, 1, 4, dict(use_bn_embed=False)), (36, 1, 4, SCALED_MODEL),
+                 (36, 3, 2, SCALED_MODEL), (36, 1, 2, SCALED_MODEL)]
+
+STACKED_BITS_CHILD = """
+import numpy as np
+from spdtok.network import ModelConfig, SpdTokenTransformer
+from spdtok.tasks import SCALED_MODEL
+rng = np.random.default_rng(9)
+for D, T, C, over in {models}:
+    cfg = ModelConfig(d_token=D, n_classes=C, seq_len=T, **dict(over, dropout=0.0))
+    models = [SpdTokenTransformer(cfg, seed=s) for s in range(5)]
+    for m in models:
+        m.running_mean = rng.normal(0.0, 0.1, cfg.d_model)
+        m.running_var = rng.uniform(0.5, 2.0, cfg.d_model)
+    stack = SpdTokenTransformer.stacked(models)
+    tokens = rng.standard_normal((5, 8, T, D))
+    same = [stack.forward(tokens[0]).data[s].tobytes() == m.forward(tokens[0]).data.tobytes()
+            for s, m in enumerate(models)]
+    for training in (False, True):
+        out = stack.forward(tokens, training=training).data
+        same += [out[s].tobytes() == m.forward(tokens[s], training=training).data.tobytes()
+                 for s, m in enumerate(models)]
+    same += [stack.running_mean[s].tobytes() == m.running_mean.tobytes()
+             and stack.running_var[s].tobytes() == m.running_var.tobytes()
+             for s, m in enumerate(models)]
+    print(D, T, C, all(same))
+"""
+
+
+class TestStackedModel:
+    def test_slices_are_the_models(self):
+        models = [micro_model(seq_len=3) for _ in range(2)] + [micro_model(seq_len=3)]
+        models[1].params["proj.W"].data += 1.0
+        models[2].running_mean = np.full(16, 0.5)
+        stack = SpdTokenTransformer.stacked(models)
+        assert stack.stack == (3,) and models[0].stack == ()
+        for name, t in stack.params.items():
+            assert t.requires_grad and t.data.shape == (3,) + models[0].params[name].data.shape
+            assert all(np.array_equal(t.data[s], m.params[name].data) for s, m in enumerate(models))
+        assert stack.running_mean.shape == stack.running_var.shape == (3, 16)
+        assert np.array_equal(stack.running_mean[2], models[2].running_mean)
+        assert stack.parameter_counts() == models[0].parameter_counts()
+        # copies: training the stack leaves its models alone
+        stack.params["proj.W"].data[0] = 0.0
+        assert np.any(models[0].params["proj.W"].data != 0.0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_slices_keep_the_bits_of_every_frozen_model(self, threads):
+        # eval mode and train mode without dropout, per-slice and shared
+        # tokens; train mode updates each slice's running statistics
+        child = STACKED_BITS_CHILD.format(models=FROZEN_MODELS)
+        lines = stdout_at_blas_threads(["-c", child], threads).split("\n")
+        assert lines[:-1] == [f"{D} {T} {C} True" for D, T, C, _ in FROZEN_MODELS]
+
+    @pytest.mark.parametrize("attention", ["standard", "geometric"])
+    def test_per_slice_bias_and_shared_bias(self, rng, attention):
+        models = [micro_model(seq_len=3, attention=attention) for _ in range(3)]
+        for s, m in enumerate(models):
+            m.params["enc0.attn.Wq"].data *= 1.0 + s
+        stack = SpdTokenTransformer.stacked(models)
+        tokens = embed_batch(np.stack([random_spd(rng, 4) for _ in range(36)]),
+                             EmbeddingKind.BWSPD).reshape(3, 4, 3, 10)
+        bias = np.stack([geometric_bias(t, "bwspd") for t in tokens])
+        out = stack.forward(tokens, attn_bias=bias).data
+        shared = stack.forward(tokens[0], attn_bias=bias[0]).data
+        assert out.shape == (3, 4, 3)
+        for s, m in enumerate(models):
+            assert out[s].tobytes() == m.forward(tokens[s], attn_bias=bias[s]).data.tobytes()
+            assert shared[s].tobytes() == m.forward(tokens[0], attn_bias=bias[0]).data.tobytes()
+
+    def test_shared_tokens_get_the_summed_gradient(self, rng):
+        models = [micro_model() for _ in range(3)]
+        stack = SpdTokenTransformer.stacked(models)
+        labels = rng.integers(0, 3, 6)
+        x = Tensor(rng.standard_normal((6, 1, 10)), requires_grad=True)
+        losses = ad.cross_entropy(stack.forward(x, training=True), labels)
+        ad.linear(losses, Tensor(np.ones((3, 1)))).backward()
+        want = 0.0
+        for m in models:
+            one = Tensor(x.data, requires_grad=True)
+            ad.cross_entropy(m.forward(one, training=True), labels).backward()
+            want = want + one.grad
+        assert np.allclose(x.grad, want, rtol=1e-13, atol=1e-16)
+
+    def test_tokens_of_another_stack_refused(self, rng):
+        stack = SpdTokenTransformer.stacked([micro_model()] * 3)
+        with pytest.raises(ShapeMismatch):
+            stack.forward(rng.standard_normal((2, 4, 1, 10)))
+        with pytest.raises(ShapeMismatch):
+            micro_model().forward(rng.standard_normal((3, 4, 1, 10)))
+
+    @pytest.mark.parametrize("models", ["none", "configs", "stacked"])
+    def test_bad_stack_refused(self, models):
+        pick = {"none": [], "configs": [micro_model(), micro_model(d_ff=8)],
+                "stacked": [SpdTokenTransformer.stacked([micro_model()] * 2)]}
+        with pytest.raises(InvalidSpec):
+            SpdTokenTransformer.stacked(pick[models])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdtok import spdcore
-from spdtok.embedding import embed_backward
+from spdtok.embedding import embed_batch, embed_backward
 from spdtok.errors import DimMismatch, DomainError, NoConvergence, NonFinite
 from spdtok.spdcore import (
     IDENTITY,
@@ -490,6 +490,80 @@ class TestStackedBackward:
         flat = spectral_backward(spdcore.EigenPair(V, vals), LOG, G.reshape(6, 4, 4))
         assert out.shape == (2, 3, 4, 4)
         assert out.tobytes() == flat.tobytes()
+
+
+@st.composite
+def conditioned_spd(draw):
+    """(C, spectrum): one SPD matrix of a Haar-random basis whose spectrum is
+    clustered (relative spread 1e-14 to 1e-3, so the log Taylor branch and
+    the plain quotient both occur), graded with kappa up to 1e8, or wholly
+    just above CLIP_FLOOR (1.001 to 1e4 times it)."""
+    d = draw(st.sampled_from([2, 3, 5, 8]))
+    profile = draw(st.sampled_from(["clustered", "graded", "near_floor"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if profile == "clustered":
+        spread = 10.0 ** draw(st.floats(-14.0, -3.0))
+        lam = 10.0 ** draw(st.floats(-2.0, 2.0)) * (1.0 + spread * rng.uniform(0.0, 1.0, d))
+    elif profile == "graded":
+        kappa = 10.0 ** draw(st.floats(0.0, 8.0))
+        lam = np.geomspace(1.0, 1.0 / kappa, d) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    else:
+        lam = spdcore.CLIP_FLOOR * 10.0 ** rng.uniform(1e-3 / np.log(10.0), 4.0, d)
+    lam = -np.sort(-lam)
+    C = spdcore.spectral_reconstruct(spdcore.random_orthogonal(rng, d), lam, IDENTITY,
+                                     clip=-np.inf)
+    return C, lam
+
+
+EPS = np.finfo(np.float64).eps
+# Tolerances from the accuracy table in the spdcore docstring. eigh is normwise
+# accurate: its eigenpairs reproduce C to a few eps * ||C|| per dimension, so a
+# round trip through sqrt or log is held to ROUND_TRIP eps per dimension of
+# ||C|| (log's is scaled by 1 + max |log lambda|, the norm of log C, since exp
+# amplifies an error in log C by ||C||). A small eigenvalue carries a relative
+# error of up to 6.3e-9 at kappa = 1e8 (the table's worst eigh entry there), so
+# a central difference stepped by FD_STEP = 1e-4 of the smallest eigenvalue
+# reads it with a relative error near 6e-5; FD_TOL, 1e-3 of ||dL/dC||, leaves a
+# tenfold margin over that, and over the step's own O(FD_STEP^2) truncation.
+ROUND_TRIP = 64.0
+FD_STEP = 1e-4
+FD_TOL = 1e-3
+
+
+class TestConditionedSpectra:
+    """Round trips and gradients on clustered, graded and near-floor spectra."""
+
+    @PROPERTY
+    @given(conditioned_spd())
+    def test_sqrt_squares_back(self, drawn):
+        C, _ = drawn
+        S = spectral_apply(C, SQRT)
+        d = len(C)
+        assert np.linalg.norm(S @ S - C) <= ROUND_TRIP * d * EPS * np.linalg.norm(C)
+
+    @PROPERTY
+    @given(conditioned_spd())
+    def test_exp_inverts_log(self, drawn):
+        C, lam = drawn
+        back = spectral_apply(spectral_apply(C, LOG), EXP, clip=-np.inf)
+        d = len(C)
+        tol = ROUND_TRIP * d * EPS * (1.0 + np.max(np.abs(np.log(lam))))
+        assert np.linalg.norm(back - C) <= tol * np.linalg.norm(C)
+
+    @PROPERTY
+    @given(conditioned_spd(), st.sampled_from(["bwspd", "logeuclidean"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_finite_differences_agree_with_embed_backward(self, drawn, kind, seed):
+        C, lam = drawn
+        d = len(C)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(d * (d + 1) // 2)
+        E = random_symmetric(rng, d)
+        E /= np.linalg.norm(E)
+        G = embed_backward(C, kind, w)
+        h = FD_STEP * lam[-1]
+        hi, lo = embed_batch(np.stack([C + h * E, C - h * E]), kind) @ w
+        assert abs((hi - lo) / (2.0 * h) - np.sum(G * E)) <= FD_TOL * np.linalg.norm(G)
 
 
 CONE_PROFILES = ("zero", "singular", "indefinite", "graded", "near_floor", "spd")

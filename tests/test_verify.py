@@ -181,6 +181,109 @@ def test_micro_model_gradient_check_at_three_tokens(attention, use_bn_embed):
     assert res["input_path_ok"]
 
 
+def one_forward_per_stencil(rng, n_params=50, seq_len=1, attention="standard",
+                            use_bn_embed=True) -> dict:
+    """The micro-model check as it ran before its stencils were stacked: one
+    forward of the model per stencil, the entry moved and put back in place."""
+    from spdtok.embedding import EmbeddingKind, embed, embed_backward, embed_batch
+    from spdtok.network import ModelConfig, SpdTokenTransformer, geometric_bias
+
+    d = 4
+    D = d * (d + 1) // 2
+    model = SpdTokenTransformer(ModelConfig(d_token=D, n_classes=3, d_model=16, layers=2,
+                                            heads=2, d_ff=24, dropout=0.0, seq_len=seq_len,
+                                            attention=attention, use_bn_embed=use_bn_embed),
+                                seed=5)
+    Cs = verify._random_spd_stack(rng, 6 * seq_len, d, 100.0)
+    tokens = embed_batch(Cs, EmbeddingKind.BWSPD).reshape(6, seq_len, D)
+    labels = rng.integers(0, 3, 6)
+    bias = geometric_bias(tokens, EmbeddingKind.BWSPD) if attention == "geometric" else None
+    masks = []
+
+    def loss_value(toks=tokens):
+        with verify._frozen_relu(masks):
+            logits = model.forward(toks, training=True, attn_bias=bias)
+            return float(ad.cross_entropy(logits, labels).data)
+
+    model.zero_grad()
+    with verify._frozen_relu(masks):
+        loss = ad.cross_entropy(model.forward(tokens, training=True, attn_bias=bias), labels)
+    loss.backward()
+    names = list(model.params)
+    failures, worst = 0, 0.0
+    for _ in range(n_params):
+        name = names[int(rng.integers(0, len(names)))]
+        p = model.params[name]
+        idx = np.unravel_index(int(rng.integers(0, p.data.size)), p.data.shape)
+        old = p.data[idx]
+        h = 1e-5 * max(1.0, abs(old))
+        p.data[idx] = old + h
+        hi = loss_value()
+        p.data[idx] = old - h
+        lo = loss_value()
+        p.data[idx] = old
+        num = (hi - lo) / (2.0 * h)
+        got = p.grad[idx] if p.grad is not None else 0.0
+        tol = max(1e-4, 1e-2 * abs(got))
+        err = abs(got - num)
+        worst = max(worst, err / tol)
+        failures += err > tol
+    tok_t = ad.Tensor(tokens, requires_grad=True)
+    ad.cross_entropy(model.forward(tok_t, training=True, attn_bias=bias), labels).backward()
+    grad_C0 = embed_backward(Cs[0], EmbeddingKind.BWSPD, tok_t.grad[0, 0])
+    E = verify._random_symmetric(rng, d)
+    E /= np.linalg.norm(E)
+    h = 1e-5 * np.linalg.norm(Cs[0])
+
+    def loss_of_first(Cmat):
+        toks = tokens.copy()
+        toks[0, 0] = embed(Cmat, EmbeddingKind.BWSPD)
+        return loss_value(toks)
+
+    want = (loss_of_first(Cs[0] + h * E) - loss_of_first(Cs[0] - h * E)) / (2.0 * h)
+    got = float(np.sum(grad_C0 * E))
+    input_ok = abs(got - want) <= max(1e-4, 1e-2 * abs(got))
+    return {"param_checks": n_params, "param_failures": int(failures),
+            "worst_err_over_tol": float(worst), "input_path_ok": bool(input_ok)}
+
+
+MICRO_VARIANTS = [dict(), dict(seq_len=3), dict(seq_len=3, attention="geometric"),
+                  dict(seq_len=3, use_bn_embed=False),
+                  dict(seq_len=3, attention="geometric", use_bn_embed=False)]
+
+
+@pytest.mark.parametrize("variant", MICRO_VARIANTS,
+                         ids=["t1", "t3", "t3_geometric", "t3_no_bn", "t3_geometric_no_bn"])
+@pytest.mark.parametrize("seed", [11, 4])
+def test_stacked_stencils_give_the_one_forward_result(variant, seed):
+    got = micro_model_gradient_check(np.random.default_rng(seed), n_params=20, **variant)
+    want = one_forward_per_stencil(np.random.default_rng(seed), n_params=20, **variant)
+    assert got == want
+    assert got["worst_err_over_tol"].hex() == want["worst_err_over_tol"].hex()
+
+
+@pytest.mark.parametrize("n_params", [50, 20, 7, 1])
+def test_stencils_take_stacked_forwards(monkeypatch, n_params):
+    from spdtok.network import SpdTokenTransformer
+
+    real = SpdTokenTransformer.forward
+    stacks = []
+
+    def counting(model, *args, **kwargs):
+        stacks.append(model.stack)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(SpdTokenTransformer, "forward", counting)
+    micro_model_gradient_check(np.random.default_rng(11), n_params=n_params)
+    stencils = 2 * n_params + 2
+    forwards = -(-stencils // verify.STENCIL_STACK)
+    assert verify.STENCIL_STACK == 16
+    assert len(stacks) == 2 + forwards
+    assert stacks[:2] == [(), ()]
+    assert sum(s[0] for s in stacks[2:]) == stencils
+    assert all(s[0] <= 16 for s in stacks[2:])
+
+
 def rowsumless_softmax(a, axis=-1):
     a = ad.as_tensor(a)
     e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
