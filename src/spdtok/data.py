@@ -12,6 +12,8 @@ the in-band cross-power of the one spectrum, 2 Re(Z Z^H) / (n (n - 1)) plus
 the ridge, where Z holds the in-band bins. No band reaches the DC or Nyquist
 bin (0 < lo < hi < fs/2), so the filtered signal has zero mean and every
 in-band bin counts twice. `bandpass` stays as the time-domain reference.
+Both covariance estimators take (..., channels, samples) stacks, and each
+row of a stacked call has the bits of the call on that segment alone.
 
 The band mixture never forms a band's white source in the time domain. For
 white N(0, 1) noise x of length n, the rfft bin X_k = sum_t x_t e^(-2 pi i k t / n)
@@ -20,7 +22,9 @@ sum_t cos^2 = sum_t sin^2 = n/2, and by the orthogonality of the Fourier basis
 all of them are uncorrelated, hence independent. No band holds the DC or
 Nyquist bin, so drawing a band's bins directly as independent N(0, n/2) pairs
 gives the source's in-band spectrum the same law as filtering white noise;
-only the sampled values differ.
+only the sampled values differ. The mixture comes in blocks of as many whole
+trials of one class as fit BLOCK_VALUES raw samples, drawn in the same trial
+order as one batch, so a consumer can key and reduce each block and drop it.
 
 The synthetic SPD generator samples in sqrt-space: class anchors mu_k are
 drawn with a controlled spectrum, rescaled so every anchor pair is at least
@@ -54,21 +58,28 @@ SPLIT_RATIOS = (0.70, 0.15, 0.15)
 # anchors closer than this times the largest sqrt-anchor norm count as one:
 # their distance is rounding, and rescaling it to `separation` would blow up
 ANCHOR_COINCIDE_RTOL = 1e-9
+# raw samples (2 MiB) per block of whole trials: the band mixture is drawn,
+# and a segment source's keys and covariances are taken, a block at a time
+BLOCK_VALUES = 2 ** 18
 
 
 # -- covariance and filtering ---------------------------------------------------
 
 
 def estimate_covariance(X: np.ndarray) -> np.ndarray:
-    """Sample covariance of a (channels, samples) segment plus DEFAULT_RIDGE * I."""
+    """Sample covariance of a (channels, samples) segment plus DEFAULT_RIDGE * I.
+
+    X may be a (..., channels, samples) stack; each row of the result has the
+    bits of the call on that segment alone.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimMismatch(f"expected (channels, samples), got {X.shape}")
-    n_ch, n_s = X.shape
+    if X.ndim < 2:
+        raise DimMismatch(f"expected (..., channels, samples), got {X.shape}")
+    n_ch, n_s = X.shape[-2:]
     if n_s < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n_s}")
-    centered = X - X.mean(axis=1, keepdims=True)
-    C = centered @ centered.T / (n_s - 1) + DEFAULT_RIDGE * np.eye(n_ch)
+    centered = X - X.mean(axis=-1, keepdims=True)
+    C = centered @ np.swapaxes(centered, -1, -2) / (n_s - 1) + DEFAULT_RIDGE * np.eye(n_ch)
     return sym(C)
 
 
@@ -170,6 +181,13 @@ class SegmentBatch:
     @property
     def n_trials(self):
         return self.data.shape[0]
+
+    def blocks(self):
+        """The batch as views of `trials_per_block` consecutive trials."""
+        per_block = trials_per_block(*self.data.shape[1:])
+        for start in range(0, self.n_trials, per_block):
+            rows = slice(start, start + per_block)
+            yield SegmentBatch(self.data[rows], self.labels[rows], self.sample_rate_hz)
 
 
 # -- synthetic SPD datasets --------------------------------------------------------
@@ -323,12 +341,22 @@ def _in_band_white(rng, d: int, n: int, sel: slice) -> np.ndarray:
     return np.sqrt(n / 2.0) * rng.standard_normal((d, sel.stop - sel.start))
 
 
-def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
-    """Each trial mixes one white source per band, kept to the band's bins and
+def trials_per_block(channels: int, samples: int) -> int:
+    """How many whole (channels, samples) trials fit BLOCK_VALUES raw samples;
+    at least one."""
+    return max(1, BLOCK_VALUES // (channels * samples))
+
+
+def band_mixture_blocks(spec: BandMixtureSpec):
+    """The band mixture as SegmentBatch blocks of `trials_per_block` trials,
+    class 0's trials first; a block never holds two classes.
+
+    Each trial mixes one white source per band, kept to the band's bins and
     scaled to unit broadband power, plus white noise. A band's source only
     ever enters through its in-band bins, so those are drawn directly
     (`_in_band_white`), mixed on one spectrum, and a trial takes one inverse
-    FFT; the draws are band 0, 1 and 2, then the time-domain noise."""
+    FFT; a trial's draws are band 0, 1 and 2, then the time-domain noise, in
+    trial order whatever the block size."""
     rng = np.random.default_rng(spec.seed)
     d, n_s = spec.channels, spec.samples
     bands = analysis_bands(spec.sample_rate_hz)
@@ -345,31 +373,39 @@ def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
     mixers = {cls: gains[:, None, None] * spectral_apply_batch(np.stack(patterns[cls]), SQRT)
               for cls in (0, 1)}
     bins = [_band_bins(n_s, band) for band in bands]
-    n = 2 * spec.trials_per_class
-    data = np.empty((n, d, n_s))
-    labels = np.empty(n, dtype=np.int64)
-    idx = 0
+    per_block = trials_per_block(d, n_s)
     for cls in (0, 1):
-        for _ in range(spec.trials_per_class):
-            spectrum = np.zeros((d, n_s // 2 + 1), dtype=np.complex128)
-            mixed = spectrum.view(np.float64)
-            for mixer, sel in zip(mixers[cls], bins):
-                mixed[:, sel] += mixer @ _in_band_white(rng, d, n_s, sel)
-            data[idx] = np.fft.irfft(spectrum, n=n_s, axis=-1)
-            data[idx] += spec.noise_scale * rng.standard_normal((d, n_s))
-            labels[idx] = cls
-            idx += 1
-    return SegmentBatch(data=data, labels=labels, sample_rate_hz=spec.sample_rate_hz)
+        for start in range(0, spec.trials_per_class, per_block):
+            data = np.empty((min(per_block, spec.trials_per_class - start), d, n_s))
+            for trial in data:
+                spectrum = np.zeros((d, n_s // 2 + 1), dtype=np.complex128)
+                mixed = spectrum.view(np.float64)
+                for mixer, sel in zip(mixers[cls], bins):
+                    mixed[:, sel] += mixer @ _in_band_white(rng, d, n_s, sel)
+                trial[...] = np.fft.irfft(spectrum, n=n_s, axis=-1)
+                trial += spec.noise_scale * rng.standard_normal((d, n_s))
+            yield SegmentBatch(data=data, labels=np.full(len(data), cls),
+                               sample_rate_hz=spec.sample_rate_hz)
+
+
+def synth_band_mixture(spec: BandMixtureSpec) -> SegmentBatch:
+    """Every block of `band_mixture_blocks` in one batch."""
+    blocks = list(band_mixture_blocks(spec))
+    return SegmentBatch(data=np.concatenate([b.data for b in blocks]),
+                        labels=np.concatenate([b.labels for b in blocks]),
+                        sample_rate_hz=spec.sample_rate_hz)
 
 
 # -- deterministic splits --------------------------------------------------------
 
 
 def trial_key(arr: np.ndarray) -> bytes:
+    """sha256 of the trial's shape and its float64 values in C order; a
+    C-contiguous float64 trial is hashed in place, without a copy."""
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     h = hashlib.sha256()
     h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
+    h.update(arr)
     return h.digest()
 
 

@@ -6,13 +6,16 @@ run writes except the timing columns of epochs.csv is a pure function of
 the two. metrics.json deliberately contains no timing, so two runs with the
 same config and seed produce byte-identical metrics files.
 
-Every data source reduces to the rows its trial keys hash, int64 labels and
-one (n, T, d, d) covariance stack, which `tokenize` embeds trial-major and
-band-minor with one `tokenize_matrices` call. The geometric-attention bias is
-the token dataset's `attention_bias`, read back with the tokens' own embedding
-once for every seed and ablation variant on them. `run_seeds` is the one seed
-loop of `train_experiment` and of the ablations. Every JSON file a command
-writes goes through `write_json`.
+Every data source reduces to its trial keys, int64 labels and one
+(n, T, d, d) covariance stack, which `tokenize` embeds trial-major and
+band-minor with one `tokenize_matrices` call. Segments are keyed and reduced
+to covariances one block of whole trials at a time (`data.BLOCK_VALUES`), so
+a source's full segment array is never built. A training step's tape is
+dropped once Adam has stepped, before the next step's forward. The
+geometric-attention bias is the token dataset's `attention_bias`, read back
+with the tokens' own embedding once for every seed and ablation variant on
+them. `run_seeds` is the one seed loop of `train_experiment` and of the
+ablations. Every JSON file a command writes goes through `write_json`.
 
 Each epoch ends with one `_evaluate` call: a single eval forward over the
 train, val and test rows, EVAL_BATCH rows at a time, after which each split's
@@ -45,9 +48,9 @@ from .data import (
     SynthSpec,
     analysis_bands,
     band_covariances,
+    band_mixture_blocks,
     estimate_covariance,
     split_indices,
-    synth_band_mixture,
     synth_dataset,
     trial_key,
 )
@@ -194,12 +197,17 @@ def _class_labels(raw) -> np.ndarray:
 
 
 def _trials(data_cfg: DataConfig):
-    """(rows the trial keys hash, labels, (n, T, d, d) covariances) of the source."""
+    """(trial keys, labels, (n, T, d, d) covariances) of the source.
+
+    Segments come a `SegmentBatch.blocks` block at a time (the band mixture
+    is drawn that way), and each block's keys and covariances are taken
+    before the next one, so the source's full segment array is never built.
+    """
     if data_cfg.source == "synth":
         ds = synth_dataset(SynthSpec.from_dict(data_cfg.synth))
-        return ds.matrices, ds.labels, ds.matrices[:, None]
+        return [trial_key(m) for m in ds.matrices], ds.labels, ds.matrices[:, None]
     if data_cfg.source == "band_mixture":
-        batch = synth_band_mixture(BandMixtureSpec.from_dict(data_cfg.band_mixture))
+        blocks = band_mixture_blocks(BandMixtureSpec.from_dict(data_cfg.band_mixture))
     else:
         packed = read_matrix_container(data_cfg.container_path)
         labels = _class_labels(_entry(packed, "labels"))
@@ -213,29 +221,30 @@ def _trials(data_cfg: DataConfig):
             if labels.shape != mats.shape[:1]:
                 raise InvalidSpec(f"container has {len(labels)} labels for matrices "
                                   f"of shape {mats.shape}")
-            return mats, labels, mats[:, None]
+            return [trial_key(m) for m in mats], labels, mats[:, None]
         segments = _entry(packed, "segments")
         rate = _entry(packed, "sample_rate")
         if rate.size != 1:
             raise InvalidSpec(f"container sample_rate must be one number, got shape {rate.shape}")
-        batch = SegmentBatch(segments, labels, float(rate.item()))
+        blocks = SegmentBatch(segments, labels, float(rate.item())).blocks()
 
-    if data_cfg.multiband:
-        bands = analysis_bands(batch.sample_rate_hz)
-        # one trial at a time: a spectrum of the whole batch would add ~26 MB
-        # of peak memory on the band-mixture task
-        covs = np.stack([band_covariances(x, bands) for x in batch.data])
-    else:
-        covs = np.stack([estimate_covariance(x) for x in batch.data])[:, None]
-    return batch.data, batch.labels, covs
+    keys, labels, covs = [], [], []
+    for block in blocks:
+        keys += [trial_key(x) for x in block.data]
+        labels.append(block.labels)
+        if data_cfg.multiband:
+            covs.append(band_covariances(block.data, analysis_bands(block.sample_rate_hz)))
+        else:
+            covs.append(estimate_covariance(block.data)[:, None])
+    return keys, np.concatenate(labels), np.concatenate(covs)
 
 
 def tokenize(data_cfg: DataConfig) -> TokenDataset:
     kind = EmbeddingKind(data_cfg.embedding)
-    rows, labels, covs = _trials(data_cfg)
+    keys, labels, covs = _trials(data_cfg)
     n, T, d, _ = covs.shape
     tokens, branch = tokenize_matrices(covs.reshape(n * T, d, d), kind)
-    return TokenDataset(tokens.reshape(n, T, -1), labels, [trial_key(r) for r in rows],
+    return TokenDataset(tokens.reshape(n, T, -1), labels, keys,
                         int(labels.max()) + 1, kind.value, branch)
 
 
@@ -331,6 +340,8 @@ def run_single(exp: ExperimentConfig, token_ds: TokenDataset, seed: int,
             opt.zero_grad()
             loss.backward()
             opt.step()
+            # the tape hangs off these two: drop it before the next forward
+            del logits, loss
         t1 = time.perf_counter()
         (train_loss, train_acc), (val_loss, val_acc), (test_loss, test_acc) = _evaluate(
             model, tokens, labels, attn_bias, (train_idx, val_idx, test_idx))

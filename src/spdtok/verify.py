@@ -417,9 +417,10 @@ def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard"
     The ±h stencils of the n_params picked entries and the two input-path
     stencils run as slices of stacked copies of the model, at most
     STENCIL_STACK per forward: ceil((2 n_params + 2) / STENCIL_STACK)
-    forwards besides the two taped ones. A slice keeps the bits of its
-    one-model forward (see `network`), so every loss, and the result, is the
-    one a forward per stencil gives."""
+    forwards besides the one taped pass, on tokens that require grad, which
+    gives the parameter and the token gradients together. A slice keeps the
+    bits of its one-model forward (see `network`), so every loss, and the
+    result, is the one a forward per stencil gives."""
     d = 4
     D = d * (d + 1) // 2
     model = SpdTokenTransformer(ModelConfig(d_token=D, n_classes=3, d_model=16, layers=2,
@@ -433,8 +434,9 @@ def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard"
 
     masks = []
     model.zero_grad()
+    tok_t = ad.Tensor(tokens, requires_grad=True)
     with _frozen_relu(masks):
-        loss = ad.cross_entropy(model.forward(tokens, training=True, attn_bias=bias), labels)
+        loss = ad.cross_entropy(model.forward(tok_t, training=True, attn_bias=bias), labels)
     loss.backward()
     names = list(model.params)
     steps, grads = [], []
@@ -449,9 +451,6 @@ def micro_model_gradient_check(rng, n_params=50, seq_len=1, attention="standard"
         grads.append(p.grad[idx] if p.grad is not None else 0.0)
         stencils += [(name, idx, old + h, tokens), (name, idx, old - h, tokens)]
     # input-gradient path: token gradient -> matrix gradient via the adjoint
-    tok_t = ad.Tensor(tokens, requires_grad=True)
-    loss = ad.cross_entropy(model.forward(tok_t, training=True, attn_bias=bias), labels)
-    loss.backward()
     grad_C0 = embed_backward(Cs[0], EmbeddingKind.BWSPD, tok_t.grad[0, 0])
     E = _random_symmetric(rng, d)
     E /= np.linalg.norm(E)

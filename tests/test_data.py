@@ -1,15 +1,21 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spdtok.data import (
+    BLOCK_VALUES,
     DEFAULT_RIDGE,
     BandMixtureSpec,
     BandSpec,
+    SegmentBatch,
     SynthSpec,
     _band_bins,
     _in_band_white,
     _spatial_pattern,
     band_covariances,
+    band_mixture_blocks,
     bandpass,
     estimate_covariance,
     nearest_anchor_accuracy,
@@ -18,6 +24,7 @@ from spdtok.data import (
     synth_band_mixture,
     synth_dataset,
     trial_key,
+    trials_per_block,
 )
 from spdtok.embedding import EmbeddingKind, embed, embed_batch
 from spdtok.errors import BandOutOfRange, DimMismatch, InvalidSpec, TooFewSamples
@@ -56,6 +63,27 @@ class TestEstimateCovariance:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             estimate_covariance(np.ones((3, 1)))
+        with pytest.raises(DimMismatch):
+            estimate_covariance(np.ones(8))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stack_rows_equal_one_segment_calls(self, threads):
+        # every row of a stacked call has the bits of the 2-D call on its
+        # segment, whatever the BLAS thread count
+        child = (
+            "import numpy as np\n"
+            "from spdtok.data import estimate_covariance\n"
+            "rng = np.random.default_rng(5)\n"
+            "for shape in [(16, 8, 2048), (5, 22, 1000), (3, 56, 260), (4, 8, 256),\n"
+            "              (2, 3, 5, 40)]:\n"
+            "    X = rng.standard_normal(shape)\n"
+            "    got = estimate_covariance(X)\n"
+            "    assert got.shape == shape[:-1] + shape[-2:-1]\n"
+            "    for i in np.ndindex(shape[:-2]):\n"
+            "        assert got[i].tobytes() == estimate_covariance(X[i]).tobytes(), (shape, i)\n"
+            "print('ok')\n"
+        )
+        assert stdout_at_blas_threads(["-c", child], threads) == "ok\n"
 
 
 class TestBandpass:
@@ -406,6 +434,80 @@ def time_domain_band_mixture(spec):
             data.append(x)
             labels.append(cls)
     return np.stack(data), np.array(labels)
+
+
+class TestBandMixtureBlocks:
+    @pytest.mark.parametrize("spec", [
+        BandMixtureSpec(trials_per_class=37, samples=2048, seed=4),
+        BandMixtureSpec(channels=3, trials_per_class=5, samples=30000, seed=2),
+        BandMixtureSpec(channels=3, trials_per_class=2, samples=100000, seed=2),  # 1 per block
+        BandMixtureSpec(channels=4, trials_per_class=9, samples=512, seed=6),
+    ])
+    def test_blocks_hold_whole_trials_of_one_class(self, spec):
+        blocks = list(band_mixture_blocks(spec))
+        per_block = trials_per_block(spec.channels, spec.samples)
+        assert per_block == max(1, BLOCK_VALUES // (spec.channels * spec.samples))
+        for cls in (0, 1):
+            sizes = [b.n_trials for b in blocks if b.labels[0] == cls]
+            assert sum(sizes) == spec.trials_per_class
+            assert all(n == per_block for n in sizes[:-1]) and 1 <= sizes[-1] <= per_block
+        for b in blocks:
+            assert b.data.shape[1:] == (spec.channels, spec.samples)
+            assert np.all(b.labels == b.labels[0])
+            assert b.sample_rate_hz == spec.sample_rate_hz
+
+    def test_batch_is_the_join_of_the_blocks(self):
+        spec = BandMixtureSpec(trials_per_class=37, samples=2048, seed=4)
+        assert trials_per_block(spec.channels, spec.samples) == 16
+        batch = synth_band_mixture(spec)
+        blocks = list(band_mixture_blocks(spec))
+        assert len(blocks) == 6
+        assert batch.data.tobytes() == np.concatenate([b.data for b in blocks]).tobytes()
+        assert np.array_equal(batch.labels, np.concatenate([b.labels for b in blocks]))
+        assert batch.labels.dtype == np.int64
+
+    def test_segment_batch_blocks_are_views_in_order(self, rng):
+        batch = SegmentBatch(rng.standard_normal((9, 2, 2 ** 15)), np.arange(9) % 2, 128.0)
+        blocks = list(batch.blocks())
+        assert [b.n_trials for b in blocks] == [4, 4, 1]
+        assert all(np.shares_memory(b.data, batch.data) for b in blocks)
+        assert np.array_equal(np.concatenate([b.data for b in blocks]), batch.data)
+        assert np.array_equal(np.concatenate([b.labels for b in blocks]), batch.labels)
+
+
+def old_trial_key(arr):
+    """The key as first written: sha256 of the shape, then of `tobytes()`."""
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    h = hashlib.sha256()
+    h.update(str(arr.shape).encode())
+    h.update(arr.tobytes())
+    return h.digest()
+
+
+class TestTrialKey:
+    @pytest.mark.parametrize("make", [
+        lambda x: x,
+        np.asfortranarray,
+        lambda x: x[:, ::3],
+        lambda x: x[::-1, 1:],
+        lambda x: x.astype(np.float32),
+        lambda x: np.round(100 * x).astype(np.int64),
+        lambda x: x[:0],
+        lambda x: x[0, 0],
+    ])
+    def test_digest_keeps_the_old_formula(self, rng, make):
+        arr = make(rng.standard_normal((6, 40)))
+        assert trial_key(arr) == old_trial_key(arr)
+
+    def test_c_contiguous_trial_is_not_copied(self, rng):
+        arr = rng.standard_normal((8, 2 ** 15))  # 2 MiB
+        tracemalloc.start()
+        try:
+            trial_key(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes // 16
 
 
 class TestSplits:

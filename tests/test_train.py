@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,15 +14,21 @@ from spdtok.container import write_matrix_container
 from spdtok.data import (
     BandMixtureSpec,
     SynthSpec,
+    _band_bins,
+    _in_band_white,
+    _spatial_pattern,
     analysis_bands,
     band_covariances,
     bandpass,
     estimate_covariance,
     synth_band_mixture,
+    trial_key,
 )
 from spdtok.embedding import EmbeddingKind, embed, embed_batch
 from spdtok.errors import InvalidSpec
 from spdtok.network import ModelConfig, geometric_bias
+from spdtok.spdcore import SQRT, spectral_apply_batch
+from spdtok.tasks import band_mixture_experiment
 from spdtok.train import (
     TOKEN_FIXED,
     DataConfig,
@@ -307,11 +315,14 @@ class TestTokenize:
         assert tds.tokens.shape == (5, 3, 10)
 
     @pytest.mark.parametrize("multiband", [False, True])
-    def test_segment_tokens_are_embed_batch_trial_major(self, rng, tmp_path, multiband):
+    @pytest.mark.parametrize("shape", [(5, 4, 256), (9, 4, 2 ** 14)])  # 1 and 3 blocks
+    def test_segment_tokens_are_embed_batch_trial_major(self, rng, tmp_path, multiband, shape):
         # one stack of per-trial covariances, trial-major and band-minor
-        segs = rng.standard_normal((5, 4, 256))
+        segs = rng.standard_normal(shape)
+        n, d = shape[:2]
+        labels = np.arange(n) % 2
         path = tmp_path / "segs.spdt"
-        write_matrix_container(path, {"segments": segs, "labels": np.array([0., 1, 0, 1, 1]),
+        write_matrix_container(path, {"segments": segs, "labels": labels.astype(np.float64),
                                       "sample_rate": np.float64(256.0)})
         tds = tokenize(DataConfig(source="container", embedding="bwspd",
                                   container_path=str(path), multiband=multiband))
@@ -320,8 +331,75 @@ class TestTokenize:
             covs = np.concatenate([band_covariances(x, bands) for x in segs])
         else:
             covs = np.stack([estimate_covariance(x) for x in segs])
-        want = embed_batch(covs, EmbeddingKind.BWSPD).reshape(5, 3 if multiband else 1, 10)
+        want = embed_batch(covs, EmbeddingKind.BWSPD).reshape(n, 3 if multiband else 1, -1)
         assert tds.tokens.tobytes() == want.tobytes()
+        assert tds.keys == [trial_key(x) for x in segs]
+        assert np.array_equal(tds.labels, labels)
+
+
+def per_trial_data_stage(spec: BandMixtureSpec, multiband: bool):
+    """The band-mixture data stage as it was before trial blocks: the whole
+    (n, d, samples) segment array drawn trial by trial, then every trial keyed
+    and its covariances taken alone. Returns (keys, labels, (n, T, d, d))."""
+    rng = np.random.default_rng(spec.seed)
+    d, n_s = spec.channels, spec.samples
+    bands = analysis_bands(spec.sample_rate_hz)
+    P, Qp, R = (_spatial_pattern(rng, d) for _ in range(3))
+    patterns = {0: [P, Qp, R], 1: [Qp, (1.0 + spec.broadband_leak) * P, R]}
+    gains = np.array([1.0 / np.sqrt((band.hi_hz - band.lo_hz) / (spec.sample_rate_hz / 2.0))
+                      for band in bands])
+    mixers = {cls: gains[:, None, None] * spectral_apply_batch(np.stack(patterns[cls]), SQRT)
+              for cls in (0, 1)}
+    bins = [_band_bins(n_s, band) for band in bands]
+    n = 2 * spec.trials_per_class
+    data = np.empty((n, d, n_s))
+    labels = np.empty(n, dtype=np.int64)
+    idx = 0
+    for cls in (0, 1):
+        for _ in range(spec.trials_per_class):
+            spectrum = np.zeros((d, n_s // 2 + 1), dtype=np.complex128)
+            mixed = spectrum.view(np.float64)
+            for mixer, sel in zip(mixers[cls], bins):
+                mixed[:, sel] += mixer @ _in_band_white(rng, d, n_s, sel)
+            data[idx] = np.fft.irfft(spectrum, n=n_s, axis=-1)
+            data[idx] += spec.noise_scale * rng.standard_normal((d, n_s))
+            labels[idx] = cls
+            idx += 1
+    if multiband:
+        covs = np.stack([band_covariances(x, bands) for x in data])
+    else:
+        covs = np.stack([estimate_covariance(x) for x in data])[:, None]
+    return [trial_key(x) for x in data], labels, covs
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("multiband", [True, False])
+    @pytest.mark.parametrize("trials_per_class", [7, 37])  # 16 trials per block
+    def test_tokens_equal_the_per_trial_stage(self, multiband, trials_per_class):
+        spec = BandMixtureSpec(trials_per_class=trials_per_class, samples=2048, seed=9)
+        tds = tokenize(DataConfig(source="band_mixture", embedding="logeuclidean",
+                                  multiband=multiband, band_mixture=spec.to_dict()))
+        keys, labels, covs = per_trial_data_stage(spec, multiband)
+        n, T, d, _ = covs.shape
+        tokens, branch = tokenize_matrices(covs.reshape(n * T, d, d),
+                                           EmbeddingKind.LOG_EUCLIDEAN)
+        assert tds.keys == keys
+        assert tds.labels.dtype == np.int64 and np.array_equal(tds.labels, labels)
+        assert tds.tokens.tobytes() == tokens.reshape(n, T, -1).tobytes()
+        assert tds.branch == branch
+
+    def test_data_stage_holds_under_half_the_segment_array(self):
+        data_cfg = band_mixture_experiment(True).data
+        spec = BandMixtureSpec.from_dict(data_cfg.band_mixture)
+        segment_bytes = 2 * spec.trials_per_class * spec.channels * spec.samples * 8
+        tracemalloc.start()
+        try:
+            tds = tokenize(data_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tds.tokens.shape == (200, 3, 36)
+        assert peak < segment_bytes / 2, (peak, segment_bytes)
 
 
 class TestRunSingle:
@@ -372,6 +450,26 @@ class TestRunSingle:
             assert used[0] is tds.attention_bias, kind
             want = geometric_bias(tds.tokens, tds.embedding)
             assert used[0].shape == (16, 3, 3) and used[0].tobytes() == want.tobytes(), kind
+
+    def test_step_tape_is_dead_before_the_next_forward(self, monkeypatch):
+        from spdtok.network import SpdTokenTransformer
+
+        real = SpdTokenTransformer.forward
+        logits, alive = [], []
+
+        def recording(model, *args, **kwargs):
+            if kwargs.get("training"):
+                alive.append([ref() is not None for ref in logits])
+            out = real(model, *args, **kwargs)
+            if kwargs.get("training"):
+                logits.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(SpdTokenTransformer, "forward", recording)
+        exp = small_exp(epochs=2)
+        run_single(exp, tokenize(exp.data), 5)
+        assert len(alive) == 2 * 3  # 21 training rows, batches of 8
+        assert all(not any(seen) for seen in alive)
 
     def test_metrics_json_bytes_reproducible(self, tmp_path):
         exp = small_exp()

@@ -278,10 +278,53 @@ def test_stencils_take_stacked_forwards(monkeypatch, n_params):
     stencils = 2 * n_params + 2
     forwards = -(-stencils // verify.STENCIL_STACK)
     assert verify.STENCIL_STACK == 16
-    assert len(stacks) == 2 + forwards
-    assert stacks[:2] == [(), ()]
-    assert sum(s[0] for s in stacks[2:]) == stencils
-    assert all(s[0] <= 16 for s in stacks[2:])
+    assert len(stacks) == 1 + forwards
+    assert stacks[0] == ()
+    assert sum(s[0] for s in stacks[1:]) == stencils
+    assert all(s[0] <= 16 for s in stacks[1:])
+
+
+@pytest.mark.parametrize("seq_len,attention", [(1, "standard"), (3, "geometric")])
+def test_check_leaves_one_backwards_gradients(monkeypatch, seq_len, attention):
+    # the base point is taped once: p.grad holds one backward's gradient
+    from spdtok.network import SpdTokenTransformer
+
+    built, tapes = [], []
+    real_init, real_forward = SpdTokenTransformer.__init__, SpdTokenTransformer.forward
+
+    def recording_init(model, *args, **kwargs):
+        real_init(model, *args, **kwargs)
+        built.append(model)
+
+    def recording_forward(model, tokens, **kwargs):
+        if model.stack == ():
+            tapes.append((tokens, kwargs))
+        return real_forward(model, tokens, **kwargs)
+
+    real_loss = ad.cross_entropy
+    labels = []
+
+    def recording_loss(logits, y):
+        labels.append(y)
+        return real_loss(logits, y)
+
+    monkeypatch.setattr(SpdTokenTransformer, "__init__", recording_init)
+    monkeypatch.setattr(SpdTokenTransformer, "forward", recording_forward)
+    monkeypatch.setattr(ad, "cross_entropy", recording_loss)
+    micro_model_gradient_check(np.random.default_rng(3), n_params=5, seq_len=seq_len,
+                               attention=attention)
+    model = built[0]
+
+    def grads():
+        return {name: None if p.grad is None else p.grad.tobytes()
+                for name, p in model.params.items()}
+
+    left = grads()
+    tokens, kwargs = tapes[0]
+    model.zero_grad()
+    real_loss(real_forward(model, ad.as_tensor(tokens).data, **kwargs), labels[0]).backward()
+    assert any(g is not None for g in left.values())
+    assert grads() == left
 
 
 def rowsumless_softmax(a, axis=-1):
